@@ -166,12 +166,6 @@ def term_cuts(t: Term, deep: bool = True) -> List[Tuple[Term, Term]]:
                 out.append(
                     (normalize(Prod(t.inner, l)), normalize(Prod(t.inner, r)))
                 )
-            fi = facts(t.index)
-            if fi.left_end:
-                # index = 1 + rest; when the index absorbs the 1 the
-                # remainder keeps the index's type only for limit-like
-                # indices, so we only emit the generic two-block cut
-                pass
     elif isinstance(t, GeomOmega):
         for k in (1, 2):
             prefix = _sumify([_npow(t.base, n) for n in range(t.start, t.start + k)])
@@ -238,7 +232,7 @@ def term_pieces(t: Term) -> List[Term]:
                 total = total + fundamental_sequence(t.limit, n)
             out.append(OrdLeaf(total))
     elif isinstance(t, SeqSumRev):
-        out.append(normalize(reverse_term(t)) if False else OMEGA_T)
+        out.append(OMEGA_T)
         rev_pieces = term_pieces(SeqSumStar(t.limit))
         out.extend(normalize(reverse_term(p)) for p in rev_pieces)
     seen, uniq = set(), []
@@ -343,6 +337,27 @@ class _EngineCore:
     order, and YES/NO answers are independent of rule order (all rules
     are sound, so reordering can only trade YES/NO for UNKNOWN, never
     flip them).
+
+    Goals on the search stack are *active*; meeting an active goal
+    again is a cycle cut and answers UNKNOWN.  Every YES/NO is memoized.
+    An UNKNOWN is memoized with the depth it was searched at and with
+    its dependency set: the goals still active when it finished on
+    which its search was cut, directly or through a reused UNKNOWN or
+    an UNKNOWN subgoal.  A decided subgoal hands on no dependency, as
+    its answer is memoized for good.  A stored UNKNOWN
+    answers a goal at depth d when it was searched at depth >= d and
+    every goal of its set is active; reusing it adds that set to the
+    caller's.  This is the completion rule of SLG resolution (Chen &
+    Warren, JACM 43(1), 1996): an UNKNOWN found beneath open goals
+    stays valid while they stay open.  With an empty set the entry
+    answers in any context.  Reuse cannot flip an answer: it only ever
+    returns UNKNOWN, and every YES/NO still comes from a certificate.
+    The UNKNOWN is also reproducible: a search under the reuse
+    condition would meet every cut the stored search met, at no more
+    depth, and since a rule fires only on decided premises, more cuts
+    or less depth never make a goal decided.  (As for a cut-free
+    UNKNOWN, YES/NO answers memoized after the entry was stored are
+    not reconsidered.)
     """
 
     def __init__(self, depth: int = 8, use_choice: bool = True,
@@ -356,8 +371,23 @@ class _EngineCore:
             raise ValueError(f"unknown rules: {sorted(unknown)}")
         self._memo: Dict[Tuple[Term, Term], Verdict] = {}
         self._unknown_depth: Dict[Tuple[Term, Term], int] = {}
+        # dependency sets of the stored UNKNOWNs that have one
+        self._unknown_deps: Dict[Tuple[Term, Term], frozenset] = {}
         self._active: set = set()
-        self._cut_hits = 0
+        # the running goal's dependency set; None while it is empty
+        self._deps: Optional[set] = None
+        self._goals = 0
+        self._cycle_cuts = 0
+        self._unknown_reuses = 0
+
+    def search_stats(self) -> Dict[str, int]:
+        """Cumulative counts over this engine's life: rule searches
+        started, cycle cuts, and stored UNKNOWNs reused."""
+        return {
+            "goals": self._goals,
+            "cycle_cuts": self._cycle_cuts,
+            "unknown_reuses": self._unknown_reuses,
+        }
 
     # -- embeddability ---------------------------------------------------
 
@@ -365,17 +395,30 @@ class _EngineCore:
         s, t = normalize(s), normalize(t)
         return self._embeds(s, t, self.depth if depth is None else depth)
 
+    def _add_deps(self, goals) -> None:
+        if self._deps is None:
+            self._deps = set(goals)
+        else:
+            self._deps.update(goals)
+
     def _embeds(self, s: Term, t: Term, depth: int) -> Verdict:
         key = (s, t)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         if key in self._active:
-            self._cut_hits += 1
+            self._cycle_cuts += 1
+            self._add_deps((key,))
             return UNK
         if self._unknown_depth.get(key, -1) >= depth:
-            return UNK
-        before = self._cut_hits
+            deps = self._unknown_deps.get(key)
+            if deps is None or deps <= self._active:
+                self._unknown_reuses += 1
+                if deps is not None:
+                    self._add_deps(deps)
+                return UNK
+        parent_deps, self._deps = self._deps, None
+        self._goals += 1
         self._active.add(key)
         try:
             result = UNK
@@ -390,17 +433,22 @@ class _EngineCore:
                 tried.append(name)
         finally:
             self._active.discard(key)
+            deps, self._deps = self._deps, parent_deps
         if result.decided:
             self._memo[key] = result
+            return result
+        self._unknown_depth[key] = depth
+        if deps is not None:
+            deps.discard(key)
+        if deps:
+            self._unknown_deps[key] = frozenset(deps)
+            if parent_deps is None:
+                self._deps = deps
+            else:
+                parent_deps.update(deps)
         else:
-            result = Verdict(UNKNOWN, None, tuple(tried))
-            if self._cut_hits == before:
-                # no cycle was hit, so this UNKNOWN is reproducible at
-                # this depth and safe to memoize
-                self._unknown_depth[key] = max(
-                    self._unknown_depth.get(key, -1), depth
-                )
-        return result
+            self._unknown_deps.pop(key, None)
+        return Verdict(UNKNOWN, None, tuple(tried))
 
     def equimorphic(self, s: Term, t: Term, depth: Optional[int] = None) -> Verdict:
         s, t = normalize(s), normalize(t)
@@ -1756,7 +1804,7 @@ VALIDATORS = {
 }
 
 
-def replay_certificate(node: dict, _depth: int = 0) -> bool:
+def replay_certificate(node: dict) -> bool:
     """Revalidate a certificate tree; True when every node checks out."""
     try:
         _replay(node)

@@ -13,12 +13,10 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Optional, Tuple
 
+from .ordinals import CapacityError
+
 EMBED_CAP = 12
 PARTITION_CAP = 16
-
-
-class CapacityError(Exception):
-    pass
 
 
 @dataclass(frozen=True)

@@ -153,3 +153,10 @@ def test_usage_errors():
     assert run(["no-such-group"])[0] == 1
     assert run(["type", "embeds", "w +", "z"])[0] == 1
     assert run([])[0] == 1
+
+
+def test_capacity_error_exit_1():
+    # 33 nested exponents exceed the CNF nesting cap of the parser
+    nested = "w^(" * 33 + "1" + ")" * 33
+    code, _, err = run(["type", "embeds", nested, "w"])
+    assert code == 1 and "error:" in err
