@@ -7,18 +7,21 @@ premise sub-certificates -- that ``replay_certificate`` revalidates
 independently of the search.  UNKNOWN is an honest answer: the rule set
 is sound, not complete.
 
-Rules marked with axioms: "AC" depend on the axiom of choice and are
-disabled by ``use_choice=False``; rules marked "classical" (notably the
-universality of the rational line for countable orders) can be switched
-off with ``use_classical=False``.
+Each embedding rule is declared once, in ``RULES``: its name, in the
+default order, with its search side and its replay check.  A rule
+decided by side conditions alone is one ``decide(s, t)`` function that
+both sides call; a recursive rule keeps a separate check, so the
+replayer runs no search.  Certificates carry axiom tags: "AC" marks a
+use of the axiom of choice, and such conclusions are withheld under
+``use_choice=False``; "classical" marks the universality of the rational
+line for countable orders (R-ETA-UNIV), which replay requires.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .analysis import facts
 from .ordinals import OMEGA, ONE, ZERO, Ordinal, classify_ordinal
@@ -38,7 +41,6 @@ from .terms import (
     Zeta,
     ETA,
     LAMBDA,
-    ZETA,
     OMEGA_T,
     OMEGA_STAR,
     ONE_T,
@@ -96,10 +98,6 @@ UNK = Verdict(UNKNOWN)
 
 # ---------------------------------------------------------------------------
 # structural helpers
-
-
-def _parts(t: Term) -> Tuple[Term, ...]:
-    return t.parts if isinstance(t, Sum) else (t,)
 
 
 def _sumify(parts) -> Term:
@@ -252,19 +250,11 @@ def _block_sum_structure(t: Term):
         return "left"
     if isinstance(t, SeqSumRev):
         return "right"
-    if isinstance(t, GeomOmegaStar) and _wo_term(t.base):
+    if isinstance(t, GeomOmegaStar) and facts(t.base).well_ordered:
         return "left"
-    if isinstance(t, GeomOmega) and _rwo_term(t.base):
+    if isinstance(t, GeomOmega) and facts(t.base).rev_well_ordered:
         return "right"
     return None
-
-
-def _wo_term(t: Term) -> bool:
-    return facts(t).well_ordered
-
-
-def _rwo_term(t: Term) -> bool:
-    return facts(t).rev_well_ordered
 
 
 def _geom_pure_base(t: Term):
@@ -285,6 +275,28 @@ def _geom_pure_base(t: Term):
     return None
 
 
+def _sum_of_prods_fold(u: Term):
+    """u = sum of products with one shared inner factor: the
+    (inner, summed index) pair of the isomorphic single product."""
+    if not isinstance(u, Sum):
+        return None
+    inner = None
+    idxs = []
+    for p in u.parts:
+        if isinstance(p, Prod):
+            c, ix = p.inner, p.index
+        else:
+            c, ix = p, ONE_T
+        if inner is None:
+            inner = c
+        elif inner != c:
+            return None
+        idxs.append(ix)
+    if inner is None or len(idxs) < 2:
+        return None
+    return inner, _sumify(idxs)
+
+
 _HEREDITARY_FACTS = (
     "well_ordered",
     "rev_well_ordered",
@@ -300,37 +312,226 @@ class InconsistencyError(RuntimeError):
     an engine bug, surfaced rather than patched."""
 
 
-DEFAULT_RULE_ORDER = (
-    "R-EMPTY",
-    "R-REFL",
-    "R-ORD",
-    "R-CO-ORD",
-    "R-FIN",
-    "R-CARD",
-    "R-SCAT",
-    "R-STRUCT",
-    "R-ETA-UNIV",
-    "R-DENSE-ABS",
-    "R-LAMBDA-SEP",
-    "R-ABSORB",
-    "R-SUM-DP",
-    "R-PROD-MONO",
-    "R-PROD-SUMFOLD",
-    "R-PSI-TAU",
-    "R-GEOM-REINDEX",
-    "R-GEOM-PROD",
-    "R-GEOM",
-    "R-REVSUM-OMEGA",
-    "R-WO-REVSUM",
-    "R-BLOCK-UNBOUNDED",
-    "R-SEP-PROD",
-    "R-SEP-SUM",
-    "R-REV",
+# ---------------------------------------------------------------------------
+# side-condition rules
+#
+# Each ``decide(s, t)`` returns the rule's (answer, instantiation) for
+# the goal s <= t, or None when the rule does not apply.  The search and
+# the replay check of the rule both call it (see ``RULES``).
+
+
+def _decide_empty(s, t):
+    if total_count(s) == 0:
+        return YES, {"side": "s"}
+    if total_count(t) == 0:
+        return NO, {"side": "t"}
+    return None
+
+
+def _decide_refl(s, t):
+    return (YES, {}) if s == t else None
+
+
+def _compare(a, b):
+    if a is None or b is None:
+        return None
+    return (YES, {"cmp": "LE"}) if a <= b else (NO, {"cmp": "GT"})
+
+
+def _decide_ord(s, t):
+    return _compare(pure_ordinal(s), pure_ordinal(t))
+
+
+def _decide_co_ord(s, t):
+    return _compare(co_ordinal(s), co_ordinal(t))
+
+
+def _decide_fin(s, t):
+    size = facts(s).size
+    if size is None:
+        return None
+    nt = total_count(t)
+    if nt >= size:
+        return YES, {"size": size}
+    return NO, {"size": size, "target_size": int(nt)}
+
+
+def _decide_card(s, t):
+    return (NO, {}) if not facts(s).countable and facts(t).countable else None
+
+
+def _decide_scat(s, t):
+    return (NO, {}) if not facts(s).scattered and facts(t).scattered else None
+
+
+def _decide_struct(s, t):
+    fs, ft = facts(s), facts(t)
+    for name in _HEREDITARY_FACTS:
+        if getattr(ft, name) and not getattr(fs, name):
+            return NO, {"fact": name}
+    return None
+
+
+def _decide_eta_univ(s, t):
+    return (YES, {}) if isinstance(t, (Eta, Lambda)) and facts(s).countable else None
+
+
+def _decide_lambda_sep(s, t):
+    if not isinstance(t, Lambda) or not isinstance(s, Prod):
+        return None
+    if total_count(s.inner) >= 2 and not facts(s.index).countable:
+        return NO, {}
+    return None
+
+
+def _decide_wo_revsum(s, t):
+    alpha = pure_ordinal(s)
+    if alpha is None or alpha.is_finite():
+        return None
+    if not alpha.is_additively_indecomposable():
+        return None
+    if isinstance(t, SeqSumStar) and t.limit <= alpha:
+        return NO, {"kind": "revsum"}
+    g = _geom_pure_base(t)
+    if g is not None and g[1] and not g[2] and g[0] ** OMEGA <= alpha:
+        return NO, {"kind": "geom"}
+    return None
+
+
+def _decide_block_unbounded(s, t):
+    side = _block_sum_structure(t)
+    if side is None:
+        return None
+    for i, (a, b) in enumerate(term_cuts(s)):
+        if side == "left":
+            # descending sequences in t are unbounded left, so no
+            # nonempty prefix can sit wholly left of one
+            blocks = total_count(a) != 0 and not facts(b).well_ordered
+        else:
+            blocks = total_count(b) != 0 and not facts(a).rev_well_ordered
+        if blocks:
+            return NO, {"side": side, "cut": i, "left": print_term(a),
+                        "right": print_term(b)}
+    return None
+
+
+# ---------------------------------------------------------------------------
+# classification profiles
+
+PROFILE_FIELDS = (
+    "indecomposable",
+    "strictly_indec_left",
+    "strictly_indec_right",
+    "sum_closed",
+    "strongly_indecomposable",
+    "untranscendable",
+    "s_untranscendable",
+    "product_closed",
+    "homogeneous",
 )
 
 
-class _EngineCore:
-    """Bounded-depth rule search with memoization.
+@dataclass(frozen=True)
+class TypeProfile:
+    indecomposable: Verdict
+    strictly_indec_left: Verdict
+    strictly_indec_right: Verdict
+    sum_closed: Verdict
+    strongly_indecomposable: Verdict
+    untranscendable: Verdict
+    s_untranscendable: Verdict
+    product_closed: Verdict
+    homogeneous: Verdict
+
+    def answers(self) -> dict:
+        return {f: getattr(self, f).answer for f in PROFILE_FIELDS}
+
+    def decided(self) -> dict:
+        return {f: v for f, v in self.answers().items() if v != UNKNOWN}
+
+
+def _ordinal_flags(a: Ordinal, swap: bool) -> Dict[str, str]:
+    """The closed-form profile of the ordinal a, or of its reverse when
+    swap is set: {field: YES/NO}.  The strict sides of 0 are left out."""
+    op = classify_ordinal(a)
+    indec = op.additively_indecomposable or a.is_zero()
+    flags = {
+        "indecomposable": YES if indec else NO,
+        "sum_closed": YES if indec else NO,
+        "strongly_indecomposable": YES if indec else NO,
+        "untranscendable": YES if op.untranscendable else NO,
+        "s_untranscendable": YES if op.s_untranscendable else NO,
+        "product_closed": YES if op.product_closed else NO,
+        "homogeneous": YES if a.is_finite() and a.as_int() <= 2 else NO,
+    }
+    if not a.is_zero():
+        if a == ONE:
+            left = right = YES
+        elif a.is_finite() or not indec:
+            left = right = NO
+        else:
+            left, right = NO, YES
+        if swap:
+            left, right = right, left
+        flags["strictly_indec_left"] = left
+        flags["strictly_indec_right"] = right
+    return flags
+
+
+def _sutr_candidates(t: Term):
+    out = []
+    if isinstance(t, Prod):
+        out.append((t.inner, t.index))
+    g = _geom_pure_base(t)
+    if g is not None:
+        rho, star, rev_base = g
+        if star and not rev_base:
+            out.append((OrdLeaf(rho ** OMEGA), OMEGA_STAR))
+        elif not star and rev_base:
+            out.append((normalize(rev_ordinal_term(rho ** OMEGA)), OMEGA_T))
+    return out
+
+
+_PC_CANDIDATES = (
+    (OMEGA_T, fin(2)),
+    (OMEGA_STAR, fin(2)),
+    (fin(2), OMEGA_T),
+    (fin(2), OMEGA_STAR),
+)
+
+
+class _ProfileBuilder:
+    def __init__(self, t: Term):
+        self.t = t
+        self.fields: Dict[str, Verdict] = {f: UNK for f in PROFILE_FIELDS}
+
+    def decided(self, name):
+        return self.fields[name].decided
+
+    def set(self, name, verdict: Verdict):
+        if verdict is None or not verdict.decided:
+            return
+        cur = self.fields[name]
+        if cur.decided:
+            if cur.answer != verdict.answer:
+                raise InconsistencyError(
+                    f"{name} derived both {cur.answer} and {verdict.answer} "
+                    f"for {print_term(self.t)}"
+                )
+            return
+        self.fields[name] = verdict
+
+    def cert(self, answer, rule, inst=None, premises=(), axioms=()):
+        return _cert(answer, rule, self.t, self.t, inst, premises, axioms)
+
+
+# ---------------------------------------------------------------------------
+# the engine
+
+
+class Engine:
+    """Bounded-depth rule search with memoization, and the
+    classification and report pipelines built on it.
 
     One instance owns one memo table; confine an instance to a single
     thread at a time.  Answers are deterministic for a fixed rule
@@ -361,14 +562,16 @@ class _EngineCore:
     """
 
     def __init__(self, depth: int = 8, use_choice: bool = True,
-                 use_classical: bool = True, rule_order=None):
+                 rule_order=None):
         self.depth = depth
         self.use_choice = use_choice
-        self.use_classical = use_classical
         self.rule_order = tuple(rule_order or DEFAULT_RULE_ORDER)
-        unknown = set(self.rule_order) - set(DEFAULT_RULE_ORDER)
+        unknown = set(self.rule_order) - set(RULES)
         if unknown:
             raise ValueError(f"unknown rules: {sorted(unknown)}")
+        self._searches = tuple(RULES[name][0] for name in self.rule_order)
+        # a goal searched to the end without a decision tried every rule
+        self._unknown = Verdict(UNKNOWN, None, self.rule_order)
         self._memo: Dict[Tuple[Term, Term], Verdict] = {}
         self._unknown_depth: Dict[Tuple[Term, Term], int] = {}
         # dependency sets of the stored UNKNOWNs that have one
@@ -421,16 +624,12 @@ class _EngineCore:
         self._goals += 1
         self._active.add(key)
         try:
-            result = UNK
-            tried = []
-            for name in self.rule_order:
-                v = getattr(self, "_rule_" + name.replace("-", "_").lower())(
-                    s, t, depth
-                )
-                if v is not None and v.decided:
+            result = self._unknown
+            for search in self._searches:
+                v = search(self, s, t, depth)
+                if v is not None:
                     result = v
                     break
-                tried.append(name)
         finally:
             self._active.discard(key)
             deps, self._deps = self._deps, parent_deps
@@ -448,7 +647,7 @@ class _EngineCore:
                 parent_deps.update(deps)
         else:
             self._unknown_deps.pop(key, None)
-        return Verdict(UNKNOWN, None, tuple(tried))
+        return result
 
     def equimorphic(self, s: Term, t: Term, depth: Optional[int] = None) -> Verdict:
         s, t = normalize(s), normalize(t)
@@ -464,68 +663,7 @@ class _EngineCore:
                          premises=(bwd,))
         return UNK
 
-    # -- decisive rules --------------------------------------------------
-
-    def _rule_r_empty(self, s, t, depth):
-        ns, nt = total_count(s), total_count(t)
-        if ns == 0:
-            return _cert(YES, "R-EMPTY", s, t, inst={"side": "s"})
-        if nt == 0:
-            return _cert(NO, "R-EMPTY", s, t, inst={"side": "t"})
-        return None
-
-    def _rule_r_refl(self, s, t, depth):
-        if s == t:
-            return _cert(YES, "R-REFL", s, t)
-        return None
-
-    def _rule_r_ord(self, s, t, depth):
-        a, b = pure_ordinal(s), pure_ordinal(t)
-        if a is None or b is None:
-            return None
-        ans = YES if a <= b else NO
-        return _cert(ans, "R-ORD", s, t, inst={"cmp": "LE" if a <= b else "GT"})
-
-    def _rule_r_co_ord(self, s, t, depth):
-        a, b = co_ordinal(s), co_ordinal(t)
-        if a is None or b is None:
-            return None
-        ans = YES if a <= b else NO
-        return _cert(ans, "R-CO-ORD", s, t, inst={"cmp": "LE" if a <= b else "GT"})
-
-    def _rule_r_fin(self, s, t, depth):
-        fs = facts(s)
-        if fs.size is None:
-            return None
-        nt = total_count(t)
-        if nt >= fs.size:
-            return _cert(YES, "R-FIN", s, t, inst={"size": fs.size})
-        return _cert(NO, "R-FIN", s, t,
-                     inst={"size": fs.size, "target_size": int(nt)})
-
-    def _rule_r_card(self, s, t, depth):
-        if not facts(s).countable and facts(t).countable:
-            return _cert(NO, "R-CARD", s, t)
-        return None
-
-    def _rule_r_scat(self, s, t, depth):
-        if not facts(s).scattered and facts(t).scattered:
-            return _cert(NO, "R-SCAT", s, t)
-        return None
-
-    def _rule_r_struct(self, s, t, depth):
-        fs, ft = facts(s), facts(t)
-        for name in _HEREDITARY_FACTS:
-            if getattr(ft, name) and not getattr(fs, name):
-                return _cert(NO, "R-STRUCT", s, t, inst={"fact": name})
-        return None
-
-    def _rule_r_eta_univ(self, s, t, depth):
-        if not self.use_classical:
-            return None
-        if isinstance(t, (Eta, Lambda)) and facts(s).countable:
-            return _cert(YES, "R-ETA-UNIV", s, t, axioms=("classical",))
-        return None
+    # -- the search side of the recursive rules --------------------------
 
     def _rule_r_dense_abs(self, s, t, depth):
         if depth <= 0 or not isinstance(t, (Eta, Lambda)):
@@ -539,13 +677,6 @@ class _EngineCore:
                 return None
             prem.append(v)
         return _cert(YES, "R-DENSE-ABS", s, t, premises=tuple(prem))
-
-    def _rule_r_lambda_sep(self, s, t, depth):
-        if not isinstance(t, Lambda) or not isinstance(s, Prod):
-            return None
-        if total_count(s.inner) >= 2 and not facts(s.index).countable:
-            return _cert(NO, "R-LAMBDA-SEP", s, t)
-        return None
 
     def _rule_r_absorb(self, s, t, depth):
         if depth <= 0:
@@ -602,33 +733,11 @@ class _EngineCore:
             return None
         return _cert(YES, "R-PROD-MONO", s, t, premises=(vi, vx))
 
-    @staticmethod
-    def _sum_of_prods_fold(u: Term):
-        """u = sum of products with one shared inner factor: the
-        (inner, summed index) pair of the isomorphic single product."""
-        if not isinstance(u, Sum):
-            return None
-        inner = None
-        idxs = []
-        for p in u.parts:
-            if isinstance(p, Prod):
-                c, ix = p.inner, p.index
-            else:
-                c, ix = p, ONE_T
-            if inner is None:
-                inner = c
-            elif inner != c:
-                return None
-            idxs.append(ix)
-        if inner is None or len(idxs) < 2:
-            return None
-        return inner, _sumify(idxs)
-
     def _rule_r_prod_sumfold(self, s, t, depth):
         if depth <= 0:
             return None
-        sf = self._sum_of_prods_fold(s)
-        tf = self._sum_of_prods_fold(t)
+        sf = _sum_of_prods_fold(s)
+        tf = _sum_of_prods_fold(t)
         if sf is None and tf is None:
             return None
         sc = (s.inner, s.index) if isinstance(s, Prod) else sf
@@ -733,40 +842,6 @@ class _EngineCore:
             return None
         return _cert(YES, "R-REVSUM-OMEGA", s, t, premises=(v,))
 
-    def _rule_r_wo_revsum(self, s, t, depth):
-        alpha = pure_ordinal(s)
-        if alpha is None or alpha.is_finite():
-            return None
-        if not alpha.is_additively_indecomposable():
-            return None
-        if isinstance(t, SeqSumStar) and t.limit <= alpha:
-            return _cert(NO, "R-WO-REVSUM", s, t, inst={"kind": "revsum"})
-        g = _geom_pure_base(t)
-        if g is not None and g[1] and not g[2] and g[0] ** OMEGA <= alpha:
-            return _cert(NO, "R-WO-REVSUM", s, t, inst={"kind": "geom"})
-        return None
-
-    def _rule_r_block_unbounded(self, s, t, depth):
-        side = _block_sum_structure(t)
-        if side is None:
-            return None
-        for i, (a, b) in enumerate(term_cuts(s)):
-            if side == "left":
-                # descending sequences in t are unbounded left, so no
-                # nonempty prefix can sit wholly left of one
-                if total_count(a) != 0 and not facts(b).well_ordered:
-                    return _cert(NO, "R-BLOCK-UNBOUNDED", s, t,
-                                 inst={"side": side, "cut": i,
-                                       "left": print_term(a),
-                                       "right": print_term(b)})
-            else:
-                if total_count(b) != 0 and not facts(a).rev_well_ordered:
-                    return _cert(NO, "R-BLOCK-UNBOUNDED", s, t,
-                                 inst={"side": side, "cut": i,
-                                       "left": print_term(a),
-                                       "right": print_term(b)})
-        return None
-
     def _rule_r_sep_prod(self, s, t, depth):
         if depth <= 0 or not isinstance(s, Prod) or not isinstance(t, Prod):
             return None
@@ -829,144 +904,24 @@ class _EngineCore:
             return _cert(v.answer, "R-REV", s, t, premises=(v,))
         return None
 
-
-# ---------------------------------------------------------------------------
-# classification
-
-PROFILE_FIELDS = (
-    "indecomposable",
-    "strictly_indec_left",
-    "strictly_indec_right",
-    "sum_closed",
-    "strongly_indecomposable",
-    "untranscendable",
-    "s_untranscendable",
-    "product_closed",
-    "homogeneous",
-)
-
-
-@dataclass(frozen=True)
-class TypeProfile:
-    indecomposable: Verdict
-    strictly_indec_left: Verdict
-    strictly_indec_right: Verdict
-    sum_closed: Verdict
-    strongly_indecomposable: Verdict
-    untranscendable: Verdict
-    s_untranscendable: Verdict
-    product_closed: Verdict
-    homogeneous: Verdict
-
-    def answers(self) -> dict:
-        return {f: getattr(self, f).answer for f in PROFILE_FIELDS}
-
-    def decided(self) -> dict:
-        return {f: v for f, v in self.answers().items() if v != UNKNOWN}
-
-
-def _sutr_candidates(t: Term):
-    out = []
-    if isinstance(t, Prod):
-        out.append((t.inner, t.index))
-    g = _geom_pure_base(t)
-    if g is not None:
-        rho, star, rev_base = g
-        if star and not rev_base:
-            out.append((OrdLeaf(rho ** OMEGA), OMEGA_STAR))
-        elif not star and rev_base:
-            out.append((normalize(rev_ordinal_term(rho ** OMEGA)), OMEGA_T))
-    return out
-
-
-_PC_CANDIDATES = (
-    (OMEGA_T, fin(2)),
-    (OMEGA_STAR, fin(2)),
-    (fin(2), OMEGA_T),
-    (fin(2), OMEGA_STAR),
-)
-
-
-class _ProfileBuilder:
-    def __init__(self, engine: "Engine", t: Term):
-        self.engine = engine
-        self.t = t
-        self.fields: Dict[str, Verdict] = {f: UNK for f in PROFILE_FIELDS}
-
-    def decided(self, name):
-        return self.fields[name].decided
-
-    def set(self, name, verdict: Verdict):
-        if verdict is None or not verdict.decided:
-            return
-        cur = self.fields[name]
-        if cur.decided:
-            if cur.answer != verdict.answer:
-                raise InconsistencyError(
-                    f"{name} derived both {cur.answer} and {verdict.answer} "
-                    f"for {print_term(self.t)}"
-                )
-            return
-        self.fields[name] = verdict
-
-    def cert(self, answer, rule, inst=None, premises=(), axioms=()):
-        return _cert(answer, rule, self.t, self.t, inst, premises, axioms)
-
-
-class EngineClassifier:
-    """classify_type / trichotomy_check / square pipeline, implemented
-    as a mixin over the embeddability engine."""
+    # -- classification --------------------------------------------------
 
     def classify_type(self, t: Term) -> TypeProfile:
         t = normalize(t)
-        b = _ProfileBuilder(self, t)
+        b = _ProfileBuilder(t)
         a = pure_ordinal(t)
         co = co_ordinal(t)
-        if a is not None:
-            self._classify_ordinal_term(b, a, swap_sides=False)
-        elif co is not None:
-            self._classify_ordinal_term(b, co, swap_sides=True)
+        if a is not None or co is not None:
+            # ordinal and reversed-ordinal closed forms
+            rule, val = ("C-ORD", a) if a is not None else ("C-ORD-REV", co)
+            for flag, answer in _ordinal_flags(val, a is None).items():
+                b.set(flag, b.cert(answer, rule,
+                                   inst={"ordinal": str(val), "flag": flag}))
         else:
             self._classify_general(b)
         prof = TypeProfile(**b.fields)
         self._enforce_profile(t, prof)
         return prof
-
-    # -- ordinal / reversed-ordinal closed forms -------------------------
-
-    def _classify_ordinal_term(self, b, a: Ordinal, swap_sides: bool):
-        op = classify_ordinal(a)
-        rule = "C-ORD-REV" if swap_sides else "C-ORD"
-
-        def mk(answer, flag):
-            return b.cert(answer, rule, inst={"ordinal": str(a), "flag": flag})
-
-        indec = op.additively_indecomposable or a.is_zero()
-        b.set("indecomposable", mk(YES if indec else NO, "indecomposable"))
-        b.set("sum_closed", mk(YES if indec else NO, "sum_closed"))
-        b.set("strongly_indecomposable",
-              mk(YES if indec else NO, "strongly_indecomposable"))
-        b.set("untranscendable",
-              mk(YES if op.untranscendable else NO, "untranscendable"))
-        b.set("s_untranscendable",
-              mk(YES if op.s_untranscendable else NO, "s_untranscendable"))
-        b.set("product_closed",
-              mk(YES if op.product_closed else NO, "product_closed"))
-        homog = a.is_finite() and a.as_int() <= 2
-        b.set("homogeneous", mk(YES if homog else NO, "homogeneous"))
-        if a == ONE:
-            left = right = YES
-        elif a.is_zero():
-            left = right = None  # degenerate; leave undecided
-        elif a.is_finite() or not indec:
-            left = right = NO
-        else:
-            left, right = NO, YES
-        if swap_sides:
-            left, right = right, left
-        if left is not None:
-            b.set("strictly_indec_left", mk(left, "strictly_indec_left"))
-            b.set("strictly_indec_right", mk(right, "strictly_indec_right"))
 
     # -- the general catalogue -------------------------------------------
 
@@ -1243,13 +1198,6 @@ class EngineClassifier:
             "direct": direct,
         }
 
-    def square_pipeline(self, t: Term) -> Verdict:
-        return self.square_report(t)["verdict"]
-
-
-class Engine(EngineClassifier, _EngineCore):
-    pass
-
 
 # ---------------------------------------------------------------------------
 # certificate replay
@@ -1257,6 +1205,7 @@ class Engine(EngineClassifier, _EngineCore):
 # Every validator recomputes its rule's side conditions from the terms
 # printed in the certificate, checks that the recorded premises are the
 # ones the rule requires, and recurses.  A tampered certificate fails.
+# The validators of the R-rules are the check sides of ``RULES``.
 
 
 class CertificateError(ValueError):
@@ -1278,6 +1227,26 @@ def _expect(cond, why):
         raise CertificateError(why)
 
 
+def _premise_term(text, node, t) -> Term:
+    """A term printed in a premise of the node whose subject is t;
+    printed as the node's t, it is t and needs no parse."""
+    return t if text == node["t"] else _p(text)
+
+
+def _on_subject(q, node, t) -> bool:
+    """The premise q of the node is a classification of its subject t."""
+    return _premise_term(q["s"], node, t) == t == _premise_term(q["t"], node, t)
+
+
+def _lifted_from(node, t, answer):
+    """The node answers ``answer`` from one premise: a classification
+    of its subject t with the same answer."""
+    p = node["premises"]
+    _expect(node["answer"] == answer, "answer")
+    _expect(len(p) == 1 and p[0]["answer"] == answer, "premise")
+    _expect(_on_subject(p[0], node, t), "premise subject")
+
+
 def _v_eq(node, s, t):
     prem = _prem_triples(node)
     if node["answer"] == YES:
@@ -1286,77 +1255,12 @@ def _v_eq(node, s, t):
         _expect(prem in ([(s, t, NO)], [(t, s, NO)]), "EQ premises")
 
 
-def _v_r_empty(node, s, t):
-    if node["answer"] == YES:
-        _expect(total_count(s) == 0, "source not empty")
-    else:
-        _expect(total_count(t) == 0 and total_count(s) > 0, "target not empty")
-
-
-def _v_r_refl(node, s, t):
-    _expect(node["answer"] == YES and s == t, "not reflexive")
-
-
-def _v_r_ord(node, s, t):
-    a, b = pure_ordinal(s), pure_ordinal(t)
-    _expect(a is not None and b is not None, "not ordinals")
-    _expect(node["answer"] == (YES if a <= b else NO), "wrong comparison")
-
-
-def _v_r_co_ord(node, s, t):
-    a, b = co_ordinal(s), co_ordinal(t)
-    _expect(a is not None and b is not None, "not reversed ordinals")
-    _expect(node["answer"] == (YES if a <= b else NO), "wrong comparison")
-
-
-def _v_r_fin(node, s, t):
-    fs = facts(s)
-    _expect(fs.size is not None, "source not finite")
-    nt = total_count(t)
-    want = YES if nt >= fs.size else NO
-    _expect(node["answer"] == want, "wrong size comparison")
-
-
-def _v_r_card(node, s, t):
-    _expect(node["answer"] == NO, "answer")
-    _expect(not facts(s).countable and facts(t).countable, "cardinality")
-
-
-def _v_r_scat(node, s, t):
-    _expect(node["answer"] == NO, "answer")
-    _expect(not facts(s).scattered and facts(t).scattered, "scatteredness")
-
-
-def _v_r_struct(node, s, t):
-    _expect(node["answer"] == NO, "answer")
-    fact = node["instantiation"].get("fact")
-    _expect(fact in _HEREDITARY_FACTS, "unknown fact")
-    _expect(
-        getattr(facts(t), fact) and not getattr(facts(s), fact),
-        "fact does not separate",
-    )
-
-
-def _v_r_eta_univ(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    _expect(isinstance(t, (Eta, Lambda)), "target not dense leaf")
-    _expect(facts(s).countable, "source uncountable")
-    _expect("classical" in node["axioms"], "missing classical tag")
-
-
 def _v_r_dense_abs(node, s, t):
     _expect(node["answer"] == YES, "answer")
     _expect(isinstance(t, (Eta, Lambda)) and isinstance(s, Sum), "shape")
     _expect(
         _prem_triples(node) == [(p, t, YES) for p in s.parts], "premises"
     )
-
-
-def _v_r_lambda_sep(node, s, t):
-    _expect(node["answer"] == NO, "answer")
-    _expect(isinstance(t, Lambda) and isinstance(s, Prod), "shape")
-    _expect(total_count(s.inner) >= 2, "inner too small")
-    _expect(not facts(s.index).countable, "index countable")
 
 
 def _v_r_absorb(node, s, t):
@@ -1396,8 +1300,8 @@ def _v_r_prod_mono(node, s, t):
 
 def _v_r_prod_sumfold(node, s, t):
     _expect(node["answer"] == YES, "answer")
-    sc = (s.inner, s.index) if isinstance(s, Prod) else Engine._sum_of_prods_fold(s)
-    tc = (t.inner, t.index) if isinstance(t, Prod) else Engine._sum_of_prods_fold(t)
+    sc = (s.inner, s.index) if isinstance(s, Prod) else _sum_of_prods_fold(s)
+    tc = (t.inner, t.index) if isinstance(t, Prod) else _sum_of_prods_fold(t)
     _expect(sc is not None and tc is not None, "no product form")
     _expect(isinstance(s, Sum) or isinstance(t, Sum), "nothing folded")
     _expect(
@@ -1469,50 +1373,6 @@ def _v_r_revsum_omega(node, s, t):
     _expect(_prem_triples(node) == [(OMEGA_T, t.index, YES)], "premises")
 
 
-def _v_r_wo_revsum(node, s, t):
-    _expect(node["answer"] == NO, "answer")
-    alpha = pure_ordinal(s)
-    _expect(
-        alpha is not None
-        and not alpha.is_finite()
-        and alpha.is_additively_indecomposable(),
-        "source shape",
-    )
-    if isinstance(t, SeqSumStar):
-        _expect(t.limit <= alpha, "limit too large")
-    else:
-        g = _geom_pure_base(t)
-        _expect(
-            g is not None and g[1] and not g[2] and g[0] ** OMEGA <= alpha,
-            "target shape",
-        )
-
-
-def _v_r_block_unbounded(node, s, t):
-    _expect(node["answer"] == NO, "answer")
-    side = _block_sum_structure(t)
-    _expect(side == node["instantiation"]["side"], "target shape")
-    i = node["instantiation"]["cut"]
-    cuts = term_cuts(s)
-    _expect(0 <= i < len(cuts), "cut index")
-    a, b = cuts[i]
-    _expect(
-        print_term(a) == node["instantiation"]["left"]
-        and print_term(b) == node["instantiation"]["right"],
-        "cut mismatch",
-    )
-    if side == "left":
-        _expect(
-            total_count(a) != 0 and not facts(b).well_ordered,
-            "cut does not obstruct",
-        )
-    else:
-        _expect(
-            total_count(b) != 0 and not facts(a).rev_well_ordered,
-            "cut does not obstruct",
-        )
-
-
 def _v_r_sep_prod(node, s, t):
     _expect(node["answer"] == NO, "answer")
     _expect(isinstance(s, Prod) and isinstance(t, Prod), "shape")
@@ -1560,7 +1420,8 @@ def _v_garrett(node, s, t):
     _expect(len(prem) == 3, "premise count")
     p_sutr, p_right, p_left = node["premises"]
     _expect(
-        p_sutr["answer"] == YES and p_sutr["rule"].startswith("C-"),
+        p_sutr["answer"] == YES and p_sutr["rule"].startswith("C-")
+        and _on_subject(p_sutr, node, t),
         "first premise must certify s-untranscendability",
     )
     _expect(prem[1] == (_sumify([t, t]), t, YES), "two-copies-right premise")
@@ -1570,42 +1431,11 @@ def _v_garrett(node, s, t):
     )
 
 
-def _ordinal_flag_answer(a: Ordinal, flag: str, swap: bool) -> Optional[str]:
-    op = classify_ordinal(a)
-    indec = op.additively_indecomposable or a.is_zero()
-    table = {
-        "indecomposable": indec,
-        "sum_closed": indec,
-        "strongly_indecomposable": indec,
-        "untranscendable": op.untranscendable,
-        "s_untranscendable": op.s_untranscendable,
-        "product_closed": op.product_closed,
-        "homogeneous": a.is_finite() and a.as_int() <= 2,
-    }
-    if flag in table:
-        return YES if table[flag] else NO
-    if a == ONE:
-        left = right = True
-    elif a.is_zero():
-        return None
-    elif a.is_finite() or not indec:
-        left = right = False
-    else:
-        left, right = False, True
-    if swap:
-        left, right = right, left
-    if flag == "strictly_indec_left":
-        return YES if left else NO
-    if flag == "strictly_indec_right":
-        return YES if right else NO
-    return None
-
-
 def _v_c_ord(node, s, t, swap=False):
     inst = node["instantiation"]
     val = pure_ordinal(t) if not swap else co_ordinal(t)
     _expect(val is not None and str(val) == inst["ordinal"], "ordinal value")
-    want = _ordinal_flag_answer(val, inst["flag"], swap)
+    want = _ordinal_flags(val, swap).get(inst["flag"])
     _expect(want == node["answer"], "flag answer")
 
 
@@ -1638,9 +1468,7 @@ def _v_c_homog(node, s, t):
         elif "transfer" not in inst:
             # lift: s-untranscendability follows from an established
             # homogeneity verdict on the same subject
-            p = node["premises"]
-            _expect(len(p) == 1 and p[0]["answer"] == YES, "premise")
-            _expect(_p(p[0]["s"]) == t and _p(p[0]["t"]) == t, "subject")
+            _lifted_from(node, t, YES)
         else:
             c = _p(inst["transfer"])
             _expect(c in catalogue, "transfer target not catalogued")
@@ -1658,18 +1486,12 @@ def _v_c_homog_scat(node, s, t):
 
 
 def _v_c_lift_yes(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    p = node["premises"]
-    _expect(len(p) == 1 and p[0]["answer"] == YES, "premise")
-    _expect(_p(p[0]["s"]) == t and _p(p[0]["t"]) == t, "premise subject")
+    _lifted_from(node, t, YES)
 
 
 def _v_c_2only(node, s, t):
-    _expect(node["answer"] == NO, "answer")
     _expect(t != fin(2) and total_count(t) != 0, "side conditions")
-    p = node["premises"]
-    _expect(len(p) == 1 and p[0]["answer"] == NO, "needs decomposability")
-    _expect(_p(p[0]["s"]) == t and _p(p[0]["t"]) == t, "premise subject")
+    _lifted_from(node, t, NO)
 
 
 def _v_c_sutr_no(node, s, t):
@@ -1693,10 +1515,8 @@ def _v_c_lambda_pc(node, s, t):
 
 
 def _v_c_sigma_si(node, s, t):
-    _expect(node["answer"] == YES, "answer")
     _expect(facts(t).countable and t != fin(2), "side conditions")
-    p = node["premises"]
-    _expect(len(p) == 1 and p[0]["answer"] == YES, "needs untranscendability")
+    _lifted_from(node, t, YES)
 
 
 def _v_c_sierpinski(node, s, t):
@@ -1714,10 +1534,6 @@ def _v_c_pc_no(node, s, t):
     _expect(_prem_triples(node) == [(prod, t, NO)], "premises")
 
 
-def _v_c_sc_no(node, s, t):
-    _v_c_sides(node, s, t)
-
-
 def _v_c_side_cut(node, s, t):
     _expect(node["answer"] == NO, "answer")
     part = _p(node["instantiation"]["part"])
@@ -1731,15 +1547,15 @@ def _v_c_side_cut(node, s, t):
     _expect(_prem_triples(node) == [(t, part, NO)], "premises")
 
 
-def _v_c_strict_needs_indec(node, s, t):
-    _expect(node["answer"] == NO, "answer")
-    p = node["premises"]
-    _expect(len(p) == 1 and p[0]["answer"] == NO, "needs decomposability")
-
-
 def _v_c_trich_excl(node, s, t):
     # exactly-one theorem: with two alternatives refuted the third
     # holds, and with one established the others fail
+    alternatives = ((t, t), (_sumify([t, t]), t))
+    _expect(
+        all((_premise_term(q["s"], node, t), _premise_term(q["t"], node, t))
+            in alternatives for q in node["premises"]),
+        "premise subject",
+    )
     answers = [q["answer"] for q in node["premises"]]
     if node["answer"] == YES:
         _expect(answers.count(NO) >= 2, "needs two refuted alternatives")
@@ -1752,39 +1568,70 @@ def _v_c_geom(node, s, t):
     _expect(isinstance(t, (GeomOmega, GeomOmegaStar)), "shape")
 
 
+def _side_condition_rule(name, decide, axioms=()):
+    """The (search, check) pair of a rule decided by its side conditions
+    alone.  The search certifies what ``decide`` gives; the check
+    recomputes it from the printed terms and requires the node's answer
+    and instantiation to equal it."""
+
+    def search(engine, s, t, depth):
+        d = decide(s, t)
+        return None if d is None else _cert(d[0], name, s, t, d[1], axioms=axioms)
+
+    def check(node, s, t):
+        _expect(decide(s, t) == (node["answer"], node["instantiation"]),
+                "side conditions")
+        for ax in axioms:
+            _expect(ax in node["axioms"], f"missing {ax} tag")
+
+    return search, check
+
+
+# The embedding rules, in the default order: name -> (search, check).
+# ``search(engine, s, t, depth)`` returns a decided Verdict or None;
+# ``check(node, s, t)`` raises CertificateError unless the node is a
+# sound use of the rule.
+RULES = {
+    "R-EMPTY": _side_condition_rule("R-EMPTY", _decide_empty),
+    "R-REFL": _side_condition_rule("R-REFL", _decide_refl),
+    "R-ORD": _side_condition_rule("R-ORD", _decide_ord),
+    "R-CO-ORD": _side_condition_rule("R-CO-ORD", _decide_co_ord),
+    "R-FIN": _side_condition_rule("R-FIN", _decide_fin),
+    "R-CARD": _side_condition_rule("R-CARD", _decide_card),
+    "R-SCAT": _side_condition_rule("R-SCAT", _decide_scat),
+    "R-STRUCT": _side_condition_rule("R-STRUCT", _decide_struct),
+    "R-ETA-UNIV": _side_condition_rule("R-ETA-UNIV", _decide_eta_univ,
+                                       axioms=("classical",)),
+    "R-DENSE-ABS": (Engine._rule_r_dense_abs, _v_r_dense_abs),
+    "R-LAMBDA-SEP": _side_condition_rule("R-LAMBDA-SEP", _decide_lambda_sep),
+    "R-ABSORB": (Engine._rule_r_absorb, _v_r_absorb),
+    "R-SUM-DP": (Engine._rule_r_sum_dp, _v_r_sum_dp),
+    "R-PROD-MONO": (Engine._rule_r_prod_mono, _v_r_prod_mono),
+    "R-PROD-SUMFOLD": (Engine._rule_r_prod_sumfold, _v_r_prod_sumfold),
+    "R-PSI-TAU": (Engine._rule_r_psi_tau, _v_r_psi_tau),
+    "R-GEOM-REINDEX": (Engine._rule_r_geom_reindex, _v_r_geom_reindex),
+    "R-GEOM-PROD": (Engine._rule_r_geom_prod, _v_r_geom_prod),
+    "R-GEOM": (Engine._rule_r_geom, _v_r_geom),
+    "R-REVSUM-OMEGA": (Engine._rule_r_revsum_omega, _v_r_revsum_omega),
+    "R-WO-REVSUM": _side_condition_rule("R-WO-REVSUM", _decide_wo_revsum),
+    "R-BLOCK-UNBOUNDED": _side_condition_rule("R-BLOCK-UNBOUNDED",
+                                              _decide_block_unbounded),
+    "R-SEP-PROD": (Engine._rule_r_sep_prod, _v_r_sep_prod),
+    "R-SEP-SUM": (Engine._rule_r_sep_sum, _v_r_sep_sum),
+    "R-REV": (Engine._rule_r_rev, _v_r_rev),
+}
+
+DEFAULT_RULE_ORDER = tuple(RULES)
+
 VALIDATORS = {
     "EQ": _v_eq,
-    "R-EMPTY": _v_r_empty,
-    "R-REFL": _v_r_refl,
-    "R-ORD": _v_r_ord,
-    "R-CO-ORD": _v_r_co_ord,
-    "R-FIN": _v_r_fin,
-    "R-CARD": _v_r_card,
-    "R-SCAT": _v_r_scat,
-    "R-STRUCT": _v_r_struct,
-    "R-ETA-UNIV": _v_r_eta_univ,
-    "R-DENSE-ABS": _v_r_dense_abs,
-    "R-LAMBDA-SEP": _v_r_lambda_sep,
-    "R-ABSORB": _v_r_absorb,
-    "R-SUM-DP": _v_r_sum_dp,
-    "R-PROD-MONO": _v_r_prod_mono,
-    "R-PROD-SUMFOLD": _v_r_prod_sumfold,
-    "R-PSI-TAU": _v_r_psi_tau,
-    "R-GEOM-REINDEX": _v_r_geom_reindex,
-    "R-GEOM-PROD": _v_r_geom_prod,
-    "R-GEOM": _v_r_geom,
-    "R-REVSUM-OMEGA": _v_r_revsum_omega,
-    "R-WO-REVSUM": _v_r_wo_revsum,
-    "R-BLOCK-UNBOUNDED": _v_r_block_unbounded,
-    "R-SEP-PROD": _v_r_sep_prod,
-    "R-SEP-SUM": _v_r_sep_sum,
-    "R-REV": _v_r_rev,
+    **{name: check for name, (_, check) in RULES.items()},
     "GARRETT": _v_garrett,
     "C-ORD": lambda n, s, t: _v_c_ord(n, s, t, swap=False),
     "C-ORD-REV": lambda n, s, t: _v_c_ord(n, s, t, swap=True),
     "C-DOUBLE": _v_c_double,
     "C-SIDES": _v_c_sides,
-    "C-SC-NO": _v_c_sc_no,
+    "C-SC-NO": _v_c_sides,
     "C-SQUARE": _v_c_square,
     "C-HOMOG": _v_c_homog,
     "C-HOMOG-SCAT": _v_c_homog_scat,
@@ -1799,7 +1646,7 @@ VALIDATORS = {
     "C-SIERPINSKI": _v_c_sierpinski,
     "C-PC-NO": _v_c_pc_no,
     "C-SIDE-CUT": _v_c_side_cut,
-    "C-STRICT-NEEDS-INDEC": _v_c_strict_needs_indec,
+    "C-STRICT-NEEDS-INDEC": lambda n, s, t: _lifted_from(n, t, NO),
     "C-TRICH-EXCL": _v_c_trich_excl,
 }
 

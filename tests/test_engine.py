@@ -202,6 +202,16 @@ def test_all_certificates_replay(eng):
         )[:400]
 
 
+# The rules decided by their side conditions alone: replay recomputes
+# their whole instantiation.  (Some recursive rules' checks ignore parts
+# of theirs, such as R-ABSORB's piece index.)
+SIDE_CONDITION_RULES = {
+    "R-EMPTY", "R-REFL", "R-ORD", "R-CO-ORD", "R-FIN", "R-CARD", "R-SCAT",
+    "R-STRUCT", "R-ETA-UNIV", "R-LAMBDA-SEP", "R-WO-REVSUM",
+    "R-BLOCK-UNBOUNDED",
+}
+
+
 def _corruptions(node):
     flip = dict(node)
     flip["answer"] = NO if node["answer"] == YES else YES
@@ -215,6 +225,10 @@ def _corruptions(node):
         prem = deep["premises"][0]
         prem["answer"] = NO if prem["answer"] == YES else YES
         yield deep
+    if node["rule"] in SIDE_CONDITION_RULES:
+        forged = dict(node)
+        forged["instantiation"] = dict(node["instantiation"], forged=True)
+        yield forged
 
 
 def test_corrupted_certificates_rejected(eng):
@@ -228,6 +242,31 @@ def test_corrupted_certificates_rejected(eng):
                 )
             checked += 1
     assert checked > 300
+
+
+def test_premises_about_other_terms_rejected(eng):
+    # each forged node about z cites sound certificates about other
+    # terms as its premises; z is transcendable, so no true premise
+    # could make it strongly indecomposable through C-SIGMA-SI
+    assert eng.classify_type(T("z")).untranscendable.is_no
+
+    def cert(s, t):
+        return eng.embeds(T(s), T(t)).certificate
+
+    def node(answer, rule, premises, inst=None):
+        return {"answer": answer, "rule": rule, "s": "z", "t": "z",
+                "instantiation": inst or {}, "premises": premises,
+                "axioms": []}
+
+    forged = [
+        node(YES, "C-TRICH-EXCL", [cert("3", "2"), cert("w~", "w")],
+             {"excluded": ["double", "strictly_indec_left"]}),
+        node(YES, "C-SIGMA-SI", [cert("1", "2")]),
+        node(NO, "C-STRICT-NEEDS-INDEC", [cert("3", "2")]),
+    ]
+    for bad in forged:
+        assert all(replay_certificate(q) for q in bad["premises"])
+        assert not replay_certificate(bad), bad["rule"]
 
 
 def test_replay_rejects_garbage():
