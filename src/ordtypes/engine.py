@@ -15,6 +15,13 @@ replayer runs no search.  Certificates carry axiom tags: "AC" marks a
 use of the axiom of choice, and such conclusions are withheld under
 ``use_choice=False``; "classical" marks the universality of the rational
 line for countable orders (R-ETA-UNIV), which replay requires.
+
+``classify_type`` fills a nine-field profile of a term t.  Each decided
+field is certified by a node of a C-rule about t alone (s == t) whose
+``claim`` names the field; ``CLASSIFIERS`` declares the fields each
+C-rule may claim.  The links between fields, the paper's theorems among
+them, are one table, ``IMPLICATIONS``, applied both ways as the profile
+is built.
 """
 
 from __future__ import annotations
@@ -77,11 +84,16 @@ class Verdict:
 
 
 def _cert(answer, rule, s, t, inst=None, premises=(), axioms=()):
+    return _printed_cert(answer, rule, print_term(s), print_term(t), inst,
+                         premises, axioms)
+
+
+def _printed_cert(answer, rule, s, t, inst=None, premises=(), axioms=()):
     node = {
         "answer": answer,
         "rule": rule,
-        "s": print_term(s),
-        "t": print_term(t),
+        "s": s,
+        "t": t,
         "instantiation": inst or {},
         "premises": [p.certificate for p in premises],
         "axioms": list(axioms),
@@ -478,6 +490,49 @@ def _ordinal_flags(a: Ordinal, swap: bool) -> Dict[str, str]:
     return flags
 
 
+def _any_type(t):
+    return True
+
+
+# The links between profile fields: a row (name, premise, conclusion,
+# side, source) says that a type t with side(t) and the premise field
+# has the conclusion field, by the result or definition named in source.
+# ``_ProfileBuilder.set`` applies each row forward (premise YES gives
+# conclusion YES) and by contrapositive (conclusion NO gives premise NO).
+IMPLICATIONS = (
+    ("C-S-UNTR-LIFT", "s_untranscendable", "untranscendable", _any_type,
+     "definition: s-untranscendability strengthens untranscendability"),
+    ("C-STRONG-LIFT", "strongly_indecomposable", "indecomposable", _any_type,
+     "definition: strong indecomposability strengthens indecomposability"),
+    ("C-HOMOG-LIFT", "homogeneous", "s_untranscendable", _any_type,
+     "a homogeneous type is s-untranscendable"),
+    ("C-PC-LIFT", "product_closed", "untranscendable", _any_type,
+     "a product-closed type is untranscendable"),
+    ("C-2ONLY", "untranscendable", "indecomposable",
+     lambda t: t not in (fin(0), fin(2)),
+     "theorem: untranscendable types other than 2 are additively "
+     "indecomposable"),
+    ("C-SIGMA-SI", "untranscendable", "strongly_indecomposable",
+     lambda t: t != fin(2) and facts(t).countable,
+     "theorem: every sigma-scattered untranscendable type other than 2 "
+     "is strongly indecomposable; countable types are sigma-scattered"),
+    ("C-STRICT-NEEDS-INDEC", "strictly_indec_left", "indecomposable",
+     _any_type, "definition: a strictly indecomposable type is indecomposable"),
+    ("C-STRICT-NEEDS-INDEC", "strictly_indec_right", "indecomposable",
+     _any_type, "definition: a strictly indecomposable type is indecomposable"),
+)
+
+_IMPLIED = frozenset(row[0] for row in IMPLICATIONS)
+
+_STRICT_SIDES = ("strictly_indec_left", "strictly_indec_right")
+
+# the homogeneous types C-HOMOG catalogues
+_HOMOGENEOUS = (fin(0), fin(1), fin(2), ETA, LAMBDA)
+
+# the indecomposable types the trichotomy does not hold for
+_NO_TRICHOTOMY = (fin(0), fin(1))
+
+
 def _sutr_candidates(t: Term):
     out = []
     if isinstance(t, Prod):
@@ -503,26 +558,33 @@ _PC_CANDIDATES = (
 class _ProfileBuilder:
     def __init__(self, t: Term):
         self.t = t
+        self.text = print_term(t)
         self.fields: Dict[str, Verdict] = {f: UNK for f in PROFILE_FIELDS}
 
-    def decided(self, name):
-        return self.fields[name].decided
-
-    def set(self, name, verdict: Verdict):
-        if verdict is None or not verdict.decided:
-            return
-        cur = self.fields[name]
-        if cur.decided:
-            if cur.answer != verdict.answer:
-                raise InconsistencyError(
-                    f"{name} derived both {cur.answer} and {verdict.answer} "
-                    f"for {print_term(self.t)}"
-                )
-            return
-        self.fields[name] = verdict
-
-    def cert(self, answer, rule, inst=None, premises=(), axioms=()):
-        return _cert(answer, rule, self.t, self.t, inst, premises, axioms)
+    def set(self, field, answer, rule, inst=None, premises=(), axioms=()):
+        """Certify that t's ``field`` answers ``answer`` by ``rule``, then
+        close the profile under ``IMPLICATIONS``, forward and by
+        contrapositive, breadth first, so that each derived field cites
+        the shortest chain.  A rule's own node replaces one the table
+        derived; a conflicting answer raises InconsistencyError."""
+        todo = [(field, answer, rule, inst, premises, axioms)]
+        for field, answer, rule, inst, premises, axioms in todo:
+            cur = self.fields[field]
+            if cur.decided:
+                if cur.answer != answer:
+                    raise InconsistencyError(f"{field} derived both {cur.answer}"
+                                             f" and {answer} for {self.text}")
+                if rule in _IMPLIED or cur.certificate["rule"] not in _IMPLIED:
+                    continue
+            v = _printed_cert(answer, rule, self.text, self.text, inst,
+                              premises, axioms)
+            v.certificate["claim"] = field
+            self.fields[field] = v
+            for name, premise, conclusion, side, _ in IMPLICATIONS:
+                if answer == YES and field == premise and side(self.t):
+                    todo.append((conclusion, YES, name, None, (v,), ()))
+                elif answer == NO and field == conclusion and side(self.t):
+                    todo.append((premise, NO, name, None, (v,), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +743,11 @@ class Engine:
     def _rule_r_absorb(self, s, t, depth):
         if depth <= 0:
             return None
-        for i, piece in enumerate(term_pieces(t)):
+        for piece in term_pieces(t):
             v = self._embeds(s, piece, depth - 1)
             if v.is_yes:
                 return _cert(YES, "R-ABSORB", s, t,
-                             inst={"piece": print_term(piece), "index": i},
+                             inst={"piece": print_term(piece)},
                              premises=(v,))
         return None
 
@@ -797,10 +859,7 @@ class Engine:
         v = self._embeds(marker, d, depth - 1)
         if not v.is_yes:
             return None
-        return _cert(YES, "R-GEOM-PROD", s, t,
-                     inst={"block_bound": str(rho ** OMEGA),
-                           "direction": "star" if star else "omega"},
-                     premises=(v,))
+        return _cert(YES, "R-GEOM-PROD", s, t, premises=(v,))
 
     def _rule_r_geom(self, s, t, depth):
         if depth <= 0:
@@ -914,9 +973,8 @@ class Engine:
         if a is not None or co is not None:
             # ordinal and reversed-ordinal closed forms
             rule, val = ("C-ORD", a) if a is not None else ("C-ORD-REV", co)
-            for flag, answer in _ordinal_flags(val, a is None).items():
-                b.set(flag, b.cert(answer, rule,
-                                   inst={"ordinal": str(val), "flag": flag}))
+            for field, answer in _ordinal_flags(val, a is None).items():
+                b.set(field, answer, rule, {"ordinal": str(val)})
         else:
             self._classify_general(b)
         prof = TypeProfile(**b.fields)
@@ -932,78 +990,47 @@ class Engine:
         square = self.embeds(normalize(Prod(t, t)), t)
 
         if double.is_yes:
-            b.set("indecomposable", b.cert(YES, "C-DOUBLE", premises=(double,)))
-            b.set("sum_closed", b.cert(YES, "C-DOUBLE", premises=(double,)))
+            for field in ("indecomposable", "sum_closed"):
+                b.set(field, YES, "C-DOUBLE", premises=(double,))
         decomp = self._decomposition_witness(t)
         if decomp is not None:
             l, r, vl, vr = decomp
             inst = {"left": print_term(l), "right": print_term(r)}
-            b.set("indecomposable",
-                  b.cert(NO, "C-SIDES", inst=inst, premises=(vl, vr)))
-            b.set("sum_closed",
-                  b.cert(NO, "C-SC-NO", inst=inst, premises=(vl, vr)))
+            b.set("indecomposable", NO, "C-SIDES", inst, (vl, vr))
+            b.set("sum_closed", NO, "C-SC-NO", inst, (vl, vr))
         if square.is_yes:
-            b.set("s_untranscendable",
-                  b.cert(YES, "C-SQUARE", premises=(square,)))
-            b.set("product_closed",
-                  b.cert(YES, "C-SQUARE", premises=(square,)))
+            for field in ("s_untranscendable", "product_closed"):
+                b.set(field, YES, "C-SQUARE", premises=(square,))
 
         self._homogeneity(b, ft)
-        if b.fields["homogeneous"].is_yes:
-            b.set("s_untranscendable",
-                  b.cert(YES, "C-HOMOG",
-                         premises=(b.fields["homogeneous"],)))
-
         if isinstance(t, (GeomOmega, GeomOmegaStar)):
-            b.set("untranscendable", b.cert(YES, "C-GEOM"))
+            b.set("untranscendable", YES, "C-GEOM")
         if isinstance(t, Lambda):
-            b.set("untranscendable", b.cert(YES, "C-CAT-LAMBDA"))
-        if b.fields["s_untranscendable"].is_yes:
-            b.set("untranscendable",
-                  b.cert(YES, "C-S-UNTR-LIFT",
-                         premises=(b.fields["s_untranscendable"],)))
-        if (b.fields["indecomposable"].is_no and t != fin(2)
-                and total_count(t) != 0):
-            b.set("untranscendable",
-                  b.cert(NO, "C-2ONLY",
-                         premises=(b.fields["indecomposable"],)))
+            b.set("untranscendable", YES, "C-CAT-LAMBDA")
 
-        if not b.decided("s_untranscendable"):
+        if not b.fields["s_untranscendable"].decided:
             for psi, tau in _sutr_candidates(t):
                 prod = normalize(Prod(psi, tau))
                 v0 = self.embeds(t, prod)
                 v1 = self.embeds(t, psi)
                 v2 = self.embeds(t, tau)
                 if v0.is_yes and v1.is_no and v2.is_no:
-                    b.set("s_untranscendable",
-                          b.cert(NO, "C-SUTR-NO",
-                                 inst={"psi": print_term(psi),
-                                       "tau": print_term(tau)},
-                                 premises=(v0, v1, v2)))
+                    b.set("s_untranscendable", NO, "C-SUTR-NO",
+                          {"psi": print_term(psi), "tau": print_term(tau)},
+                          (v0, v1, v2))
                     break
 
         if isinstance(t, Lambda):
             if self.use_choice:
-                b.set("product_closed",
-                      b.cert(NO, "C-LAMBDA-PC", axioms=("AC",)))
-        elif not b.decided("product_closed"):
+                b.set("product_closed", NO, "C-LAMBDA-PC", axioms=("AC",))
+        elif not b.fields["product_closed"].decided:
             self._product_closed_witness(b)
 
-        if (b.fields["untranscendable"].is_yes and ft.countable
-                and t != fin(2)):
-            b.set("strongly_indecomposable",
-                  b.cert(YES, "C-SIGMA-SI",
-                         premises=(b.fields["untranscendable"],)))
         if not ft.countable and self.use_choice:
             vl = self.embeds(t, LAMBDA)
             if vl.is_yes:
-                b.set("strongly_indecomposable",
-                      b.cert(NO, "C-SIERPINSKI", premises=(vl,),
-                             axioms=("AC",)))
-        if b.fields["strongly_indecomposable"].is_yes:
-            b.set("indecomposable",
-                  b.cert(YES, "C-STRONG-LIFT",
-                         premises=(b.fields["strongly_indecomposable"],)))
+                b.set("strongly_indecomposable", NO, "C-SIERPINSKI",
+                      premises=(vl,), axioms=("AC",))
 
         self._strict_sides(b, double)
 
@@ -1019,27 +1046,22 @@ class Engine:
 
     def _homogeneity(self, b: _ProfileBuilder, ft):
         t = b.t
-        catalogue = (fin(0), fin(1), fin(2), ETA, LAMBDA)
-        if t in catalogue:
-            b.set("homogeneous", b.cert(YES, "C-HOMOG",
-                                        inst={"member": print_term(t)}))
+        if t in _HOMOGENEOUS:
+            b.set("homogeneous", YES, "C-HOMOG")
             return
         for c in (ETA, LAMBDA):
             eq = self.equimorphic(t, c)
             if eq.is_yes:
-                b.set("homogeneous",
-                      b.cert(YES, "C-HOMOG",
-                             inst={"transfer": print_term(c)},
-                             premises=(eq,)))
+                b.set("homogeneous", YES, "C-HOMOG",
+                      {"transfer": print_term(c)}, (eq,))
                 return
         if ft.size is not None and ft.size >= 3:
-            b.set("homogeneous", b.cert(NO, "C-HOMOG",
-                                        inst={"finite": ft.size}))
+            b.set("homogeneous", NO, "C-HOMOG", {"finite": ft.size})
             return
         if ft.size is None and ft.scattered:
             # an infinite homogeneous type is dense, so nothing
             # equimorphic to a scattered type qualifies
-            b.set("homogeneous", b.cert(NO, "C-HOMOG-SCAT"))
+            b.set("homogeneous", NO, "C-HOMOG-SCAT")
 
     def _product_closed_witness(self, b: _ProfileBuilder):
         t = b.t
@@ -1051,84 +1073,49 @@ class Engine:
             prod = normalize(Prod(psi, tau))
             v = self.embeds(prod, t)
             if v.is_no:
-                b.set("product_closed",
-                      b.cert(NO, "C-PC-NO",
-                             inst={"psi": print_term(psi),
-                                   "tau": print_term(tau)},
-                             premises=(v,)))
+                b.set("product_closed", NO, "C-PC-NO",
+                      {"psi": print_term(psi), "tau": print_term(tau)}, (v,))
                 return
 
     def _strict_sides(self, b: _ProfileBuilder, double: Verdict):
         t = b.t
         for l, r in term_cuts(t):
-            if (not b.decided("strictly_indec_right")
-                    and total_count(r) != 0):
-                v = self.embeds(t, r)
-                if v.is_no:
-                    b.set("strictly_indec_right",
-                          b.cert(NO, "C-SIDE-CUT",
-                                 inst={"side": "right",
-                                       "part": print_term(r)},
-                                 premises=(v,)))
-            if (not b.decided("strictly_indec_left")
-                    and total_count(l) != 0):
-                v = self.embeds(t, l)
-                if v.is_no:
-                    b.set("strictly_indec_left",
-                          b.cert(NO, "C-SIDE-CUT",
-                                 inst={"side": "left",
-                                       "part": print_term(l)},
-                                 premises=(v,)))
-        if b.fields["indecomposable"].is_no:
-            for side in ("strictly_indec_left", "strictly_indec_right"):
-                b.set(side, b.cert(NO, "C-STRICT-NEEDS-INDEC",
-                                   premises=(b.fields["indecomposable"],)))
-        if b.fields["indecomposable"].is_yes and t != fin(1):
+            for side, part in (("strictly_indec_right", r),
+                               ("strictly_indec_left", l)):
+                if not b.fields[side].decided and total_count(part) != 0:
+                    v = self.embeds(t, part)
+                    if v.is_no:
+                        b.set(side, NO, "C-SIDE-CUT",
+                              {"part": print_term(part)}, (v,))
+        if b.fields["indecomposable"].is_yes and t not in _NO_TRICHOTOMY:
             self._trichotomy_closure(b, double)
 
     def _trichotomy_closure(self, b: _ProfileBuilder, double: Verdict):
-        """For an indecomposable type other than the singleton, exactly
-        one of {t+t =< t, strictly left, strictly right} holds; fill in
-        whatever two decided alternatives force."""
-        alts = {
-            "double": double,
-            "strictly_indec_left": b.fields["strictly_indec_left"],
-            "strictly_indec_right": b.fields["strictly_indec_right"],
-        }
-        yes = [k for k, v in alts.items() if v.is_yes]
-        no = [k for k, v in alts.items() if v.is_no]
-        prem = tuple(v for v in alts.values() if v.decided and v.certificate)
-        if len(yes) == 1:
-            for k, v in alts.items():
-                if k not in yes and not v.decided and k != "double":
-                    b.set(k, b.cert(NO, "C-TRICH-EXCL",
-                                    inst={"holds": yes[0]}, premises=prem))
-        elif len(no) == 2:
-            (rest,) = [k for k in alts if k not in no]
-            if rest != "double" and not alts[rest].decided:
-                b.set(rest, b.cert(YES, "C-TRICH-EXCL",
-                                   inst={"excluded": no}, premises=prem))
+        """For an indecomposable type other than 0 and 1, exactly one
+        of {t+t =< t, strictly left, strictly right} holds; fill in
+        what the decided alternatives force."""
+        alts = [double] + [b.fields[side] for side in _STRICT_SIDES]
+        held = [v for v in alts if v.is_yes]
+        for side, other in zip(_STRICT_SIDES, reversed(_STRICT_SIDES)):
+            if b.fields[side].decided:
+                continue
+            if held:
+                b.set(side, NO, "C-TRICH-EXCL", premises=held[:1])
+            elif double.is_no and b.fields[other].is_no:
+                b.set(side, YES, "C-TRICH-EXCL",
+                      premises=(double, b.fields[other],
+                                b.fields["indecomposable"]))
 
     def _enforce_profile(self, t: Term, p: TypeProfile):
-        errs = []
-        if p.strongly_indecomposable.is_yes and p.indecomposable.is_no:
-            errs.append("strongly indecomposable but decomposable")
-        if p.s_untranscendable.is_yes and p.untranscendable.is_no:
-            errs.append("s-untranscendable but transcendable")
-        if p.product_closed.is_yes and p.untranscendable.is_no:
-            errs.append("product closed but transcendable")
-        if (p.untranscendable.is_yes and t != fin(2)
-                and p.indecomposable.is_no):
-            errs.append("untranscendable decomposable type other than 2")
-        if p.indecomposable.is_yes and t != fin(1):
+        # (``_ProfileBuilder.set`` holds the profile to IMPLICATIONS)
+        if p.indecomposable.is_yes and t not in _NO_TRICHOTOMY:
             double = self.embeds(_sumify([t, t]), t)
             trio = [double, p.strictly_indec_left, p.strictly_indec_right]
             if sum(1 for v in trio if v.is_yes) > 1:
-                errs.append("more than one trichotomy alternative")
-        if errs:
-            raise InconsistencyError(
-                f"profile for {print_term(t)}: " + "; ".join(errs)
-            )
+                raise InconsistencyError(
+                    f"profile for {print_term(t)}: "
+                    "more than one trichotomy alternative"
+                )
 
     # -- reports ---------------------------------------------------------
 
@@ -1205,7 +1192,8 @@ class Engine:
 # Every validator recomputes its rule's side conditions from the terms
 # printed in the certificate, checks that the recorded premises are the
 # ones the rule requires, and recurses.  A tampered certificate fails.
-# The validators of the R-rules are the check sides of ``RULES``.
+# The validators of the R-rules are the check sides of ``RULES``; those
+# of the C-rules, which classify one term, are in ``CLASSIFIERS``.
 
 
 class CertificateError(ValueError):
@@ -1216,10 +1204,12 @@ def _p(text: str) -> Term:
     return parse_normalized(text)
 
 
-def _prem_triples(node):
-    return [
-        (_p(q["s"]), _p(q["t"]), q["answer"]) for q in node["premises"]
-    ]
+def _prem_triples(node, first=0):
+    """(s, t, answer) of the node's premises from ``first`` on; each must
+    be an embedding, not a classification (s == t) or an equimorphism."""
+    prem = node["premises"][first:]
+    _expect(all(q["rule"] in RULES for q in prem), "premise not an embedding")
+    return [(_p(q["s"]), _p(q["t"]), q["answer"]) for q in prem]
 
 
 def _expect(cond, why):
@@ -1233,18 +1223,16 @@ def _premise_term(text, node, t) -> Term:
     return t if text == node["t"] else _p(text)
 
 
-def _on_subject(q, node, t) -> bool:
-    """The premise q of the node is a classification of its subject t."""
-    return _premise_term(q["s"], node, t) == t == _premise_term(q["t"], node, t)
+def _premise_triple(q, node, t):
+    return (_premise_term(q["s"], node, t), _premise_term(q["t"], node, t),
+            q["answer"])
 
 
-def _lifted_from(node, t, answer):
-    """The node answers ``answer`` from one premise: a classification
-    of its subject t with the same answer."""
-    p = node["premises"]
-    _expect(node["answer"] == answer, "answer")
-    _expect(len(p) == 1 and p[0]["answer"] == answer, "premise")
-    _expect(_on_subject(p[0], node, t), "premise subject")
+def _certifies(q, node, t, claim, answer) -> bool:
+    """The premise q of the node whose subject is t is a classification
+    node certifying that t's field ``claim`` answers ``answer``."""
+    return (q["rule"] in CLASSIFIERS and q.get("claim") == claim
+            and _premise_triple(q, node, t) == (t, t, answer))
 
 
 def _v_eq(node, s, t):
@@ -1265,7 +1253,9 @@ def _v_r_dense_abs(node, s, t):
 
 def _v_r_absorb(node, s, t):
     _expect(node["answer"] == YES, "answer")
-    piece = _p(node["instantiation"]["piece"])
+    inst = node["instantiation"]
+    _expect(list(inst) == ["piece"], "instantiation")
+    piece = _p(inst["piece"])
     _expect(piece in term_pieces(t), "piece not convex in target")
     _expect(_prem_triples(node) == [(s, piece, YES)], "premises")
 
@@ -1333,7 +1323,7 @@ def _v_r_geom_reindex(node, s, t):
 
 
 def _v_r_geom_prod(node, s, t):
-    _expect(node["answer"] == YES, "answer")
+    _expect(node["answer"] == YES and node["instantiation"] == {}, "answer")
     _expect(isinstance(t, Prod), "shape")
     g = _geom_pure_base(s)
     _expect(g is not None, "base not ordinal-like")
@@ -1416,35 +1406,33 @@ def _v_r_rev(node, s, t):
 def _v_garrett(node, s, t):
     _expect(node["answer"] == YES, "answer")
     _expect(s == normalize(Prod(t, t)), "source is not the square")
-    prem = _prem_triples(node)
-    _expect(len(prem) == 3, "premise count")
-    p_sutr, p_right, p_left = node["premises"]
+    _expect(len(node["premises"]) == 3, "premise count")
     _expect(
-        p_sutr["answer"] == YES and p_sutr["rule"].startswith("C-")
-        and _on_subject(p_sutr, node, t),
+        _certifies(node["premises"][0], node, t, "s_untranscendable", YES),
         "first premise must certify s-untranscendability",
     )
-    _expect(prem[1] == (_sumify([t, t]), t, YES), "two-copies-right premise")
+    prem = _prem_triples(node, 1)
+    _expect(prem[0] == (_sumify([t, t]), t, YES), "two-copies-right premise")
     _expect(
-        prem[2] == (normalize(Prod(fin(2), t)), t, YES),
+        prem[1] == (normalize(Prod(fin(2), t)), t, YES),
         "two-copies-left premise",
     )
 
 
-def _v_c_ord(node, s, t, swap=False):
-    inst = node["instantiation"]
-    val = pure_ordinal(t) if not swap else co_ordinal(t)
-    _expect(val is not None and str(val) == inst["ordinal"], "ordinal value")
-    want = _ordinal_flags(val, swap).get(inst["flag"])
+def _v_c_ord(node, t, swap=False):
+    val = co_ordinal(t) if swap else pure_ordinal(t)
+    _expect(val is not None, "not an ordinal")
+    _expect(node["instantiation"] == {"ordinal": str(val)}, "ordinal value")
+    want = _ordinal_flags(val, swap).get(node["claim"])
     _expect(want == node["answer"], "flag answer")
 
 
-def _v_c_double(node, s, t):
+def _v_c_double(node, t):
     _expect(node["answer"] == YES, "answer")
     _expect(_prem_triples(node) == [(_sumify([t, t]), t, YES)], "premises")
 
 
-def _v_c_sides(node, s, t):
+def _v_c_sides(node, t):
     _expect(node["answer"] == NO, "answer")
     l = _p(node["instantiation"]["left"])
     r = _p(node["instantiation"]["right"])
@@ -1452,120 +1440,122 @@ def _v_c_sides(node, s, t):
     _expect(_prem_triples(node) == [(t, l, NO), (t, r, NO)], "premises")
 
 
-def _v_c_square(node, s, t):
+def _v_c_square(node, t):
     _expect(node["answer"] == YES, "answer")
     _expect(
         _prem_triples(node) == [(normalize(Prod(t, t)), t, YES)], "premises"
     )
 
 
-def _v_c_homog(node, s, t):
-    inst = node["instantiation"]
-    catalogue = (fin(0), fin(1), fin(2), ETA, LAMBDA)
-    if node["answer"] == YES:
-        if "member" in inst:
-            _expect(t in catalogue, "not catalogued")
-        elif "transfer" not in inst:
-            # lift: s-untranscendability follows from an established
-            # homogeneity verdict on the same subject
-            _lifted_from(node, t, YES)
-        else:
-            c = _p(inst["transfer"])
-            _expect(c in catalogue, "transfer target not catalogued")
-            _expect(_prem_triples(node) == [(t, c, YES)], "premises")
-            _expect(node["premises"][0]["rule"] == "EQ", "needs equimorphism")
+def _v_c_homog(node, t):
+    inst, prem = node["instantiation"], node["premises"]
+    if node["answer"] == NO:
+        size = facts(t).size
+        _expect(size is not None and size >= 3, "finite bound")
+        _expect(inst == {"finite": size} and not prem, "instantiation")
+    elif inst:
+        c = _p(inst["transfer"])
+        _expect(list(inst) == ["transfer"] and c in _HOMOGENEOUS,
+                "transfer target not catalogued")
+        _expect(len(prem) == 1 and prem[0]["rule"] == "EQ"
+                and _premise_triple(prem[0], node, t) == (t, c, YES),
+                "needs equimorphism")
     else:
-        f = facts(t)
-        _expect(f.size is not None and f.size >= 3, "finite bound")
+        _expect(t in _HOMOGENEOUS and not prem, "not catalogued")
 
 
-def _v_c_homog_scat(node, s, t):
+def _v_c_homog_scat(node, t):
     _expect(node["answer"] == NO, "answer")
     f = facts(t)
     _expect(f.size is None and f.scattered, "not infinite scattered")
 
 
-def _v_c_lift_yes(node, s, t):
-    _lifted_from(node, t, YES)
-
-
-def _v_c_2only(node, s, t):
-    _expect(t != fin(2) and total_count(t) != 0, "side conditions")
-    _lifted_from(node, t, NO)
-
-
-def _v_c_sutr_no(node, s, t):
-    _expect(node["answer"] == NO, "answer")
+def _product_inst(node):
     psi = _p(node["instantiation"]["psi"])
     tau = _p(node["instantiation"]["tau"])
-    prod = normalize(Prod(psi, tau))
+    return psi, tau, normalize(Prod(psi, tau))
+
+
+def _v_c_sutr_no(node, t):
+    _expect(node["answer"] == NO, "answer")
+    psi, tau, prod = _product_inst(node)
     _expect(
         _prem_triples(node) == [(t, prod, YES), (t, psi, NO), (t, tau, NO)],
         "premises",
     )
 
 
-def _v_c_cat_lambda(node, s, t):
+def _v_c_cat_lambda(node, t):
     _expect(node["answer"] == YES and isinstance(t, Lambda), "shape")
 
 
-def _v_c_lambda_pc(node, s, t):
+def _v_c_lambda_pc(node, t):
     _expect(node["answer"] == NO and isinstance(t, Lambda), "shape")
     _expect("AC" in node["axioms"], "missing AC tag")
 
 
-def _v_c_sigma_si(node, s, t):
-    _expect(facts(t).countable and t != fin(2), "side conditions")
-    _lifted_from(node, t, YES)
-
-
-def _v_c_sierpinski(node, s, t):
+def _v_c_sierpinski(node, t):
     _expect(node["answer"] == NO, "answer")
     _expect(not facts(t).countable, "countable")
     _expect("AC" in node["axioms"], "missing AC tag")
     _expect(_prem_triples(node) == [(t, LAMBDA, YES)], "premises")
 
 
-def _v_c_pc_no(node, s, t):
+def _v_c_pc_no(node, t):
     _expect(node["answer"] == NO, "answer")
-    psi = _p(node["instantiation"]["psi"])
-    tau = _p(node["instantiation"]["tau"])
-    prod = normalize(Prod(psi, tau))
+    prod = _product_inst(node)[2]
     _expect(_prem_triples(node) == [(prod, t, NO)], "premises")
 
 
-def _v_c_side_cut(node, s, t):
+def _v_c_side_cut(node, t):
     _expect(node["answer"] == NO, "answer")
     part = _p(node["instantiation"]["part"])
-    side = node["instantiation"]["side"]
-    cuts = term_cuts(t)
-    ok = any(
-        (side == "left" and l == part) or (side == "right" and r == part)
-        for l, r in cuts
-    )
-    _expect(ok, "part is not a cut side")
+    k = _STRICT_SIDES.index(node["claim"])
+    _expect(any(cut[k] == part for cut in term_cuts(t)),
+            "part is not a cut side")
     _expect(_prem_triples(node) == [(t, part, NO)], "premises")
 
 
-def _v_c_trich_excl(node, s, t):
-    # exactly-one theorem: with two alternatives refuted the third
-    # holds, and with one established the others fail
-    alternatives = ((t, t), (_sumify([t, t]), t))
-    _expect(
-        all((_premise_term(q["s"], node, t), _premise_term(q["t"], node, t))
-            in alternatives for q in node["premises"]),
-        "premise subject",
-    )
-    answers = [q["answer"] for q in node["premises"]]
+def _v_c_trich_excl(node, t):
+    # the trichotomy: for an indecomposable t other than 0 and 1
+    # exactly one of t+t <= t, strictly left and strictly right holds
+    _expect(t not in _NO_TRICHOTOMY, "no trichotomy for 0 and 1")
+    (other,) = [f for f in _STRICT_SIDES if f != node["claim"]]
+    prem = node["premises"]
+    double = (_sumify([t, t]), t)
     if node["answer"] == YES:
-        _expect(answers.count(NO) >= 2, "needs two refuted alternatives")
+        _expect(len(prem) == 3, "premise count")
+        _expect(_premise_triple(prem[0], node, t) == double + (NO,),
+                "t+t <= t must fail")
+        _expect(_certifies(prem[1], node, t, other, NO),
+                "the other side must fail")
+        _expect(_certifies(prem[2], node, t, "indecomposable", YES),
+                "t must be indecomposable")
     else:
-        _expect(YES in answers, "needs an established alternative")
+        _expect(len(prem) == 1, "premise count")
+        _expect(_premise_triple(prem[0], node, t) == double + (YES,)
+                or _certifies(prem[0], node, t, other, YES),
+                "needs another alternative")
 
 
-def _v_c_geom(node, s, t):
+def _v_c_geom(node, t):
     _expect(node["answer"] == YES, "answer")
     _expect(isinstance(t, (GeomOmega, GeomOmegaStar)), "shape")
+
+
+def _v_implication(node, t):
+    """A step of ``IMPLICATIONS``, forward or by contrapositive, from
+    one premise certifying the field the step starts from."""
+    answer, claim = node["answer"], node["claim"]
+    _expect(len(node["premises"]) == 1, "premise count")
+    (q,) = node["premises"]
+    for name, premise, conclusion, side, _ in IMPLICATIONS:
+        start, end = ((premise, conclusion) if answer == YES
+                      else (conclusion, premise))
+        if (name == node["rule"] and end == claim and side(t)
+                and _certifies(q, node, t, start, answer)):
+            return
+    raise CertificateError("no implication row gives the claim")
 
 
 def _side_condition_rule(name, decide, axioms=()):
@@ -1627,27 +1617,31 @@ VALIDATORS = {
     "EQ": _v_eq,
     **{name: check for name, (_, check) in RULES.items()},
     "GARRETT": _v_garrett,
-    "C-ORD": lambda n, s, t: _v_c_ord(n, s, t, swap=False),
-    "C-ORD-REV": lambda n, s, t: _v_c_ord(n, s, t, swap=True),
-    "C-DOUBLE": _v_c_double,
-    "C-SIDES": _v_c_sides,
-    "C-SC-NO": _v_c_sides,
-    "C-SQUARE": _v_c_square,
-    "C-HOMOG": _v_c_homog,
-    "C-HOMOG-SCAT": _v_c_homog_scat,
-    "C-S-UNTR-LIFT": _v_c_lift_yes,
-    "C-STRONG-LIFT": _v_c_lift_yes,
-    "C-2ONLY": _v_c_2only,
-    "C-SUTR-NO": _v_c_sutr_no,
-    "C-GEOM": _v_c_geom,
-    "C-CAT-LAMBDA": _v_c_cat_lambda,
-    "C-LAMBDA-PC": _v_c_lambda_pc,
-    "C-SIGMA-SI": _v_c_sigma_si,
-    "C-SIERPINSKI": _v_c_sierpinski,
-    "C-PC-NO": _v_c_pc_no,
-    "C-SIDE-CUT": _v_c_side_cut,
-    "C-STRICT-NEEDS-INDEC": lambda n, s, t: _lifted_from(n, t, NO),
-    "C-TRICH-EXCL": _v_c_trich_excl,
+}
+
+
+# The classification rules: name -> (the profile fields a node of the
+# rule may claim, check(node, t)).  A node of one of them certifies
+# that its claim field of a single term, its s and t, answers YES/NO.
+CLASSIFIERS = {
+    "C-ORD": (PROFILE_FIELDS, lambda n, t: _v_c_ord(n, t, swap=False)),
+    "C-ORD-REV": (PROFILE_FIELDS, lambda n, t: _v_c_ord(n, t, swap=True)),
+    "C-DOUBLE": (("indecomposable", "sum_closed"), _v_c_double),
+    "C-SIDES": (("indecomposable",), _v_c_sides),
+    "C-SC-NO": (("sum_closed",), _v_c_sides),
+    "C-SQUARE": (("s_untranscendable", "product_closed"), _v_c_square),
+    "C-HOMOG": (("homogeneous",), _v_c_homog),
+    "C-HOMOG-SCAT": (("homogeneous",), _v_c_homog_scat),
+    "C-SUTR-NO": (("s_untranscendable",), _v_c_sutr_no),
+    "C-GEOM": (("untranscendable",), _v_c_geom),
+    "C-CAT-LAMBDA": (("untranscendable",), _v_c_cat_lambda),
+    "C-LAMBDA-PC": (("product_closed",), _v_c_lambda_pc),
+    "C-SIERPINSKI": (("strongly_indecomposable",), _v_c_sierpinski),
+    "C-PC-NO": (("product_closed",), _v_c_pc_no),
+    "C-SIDE-CUT": (_STRICT_SIDES, _v_c_side_cut),
+    "C-TRICH-EXCL": (_STRICT_SIDES, _v_c_trich_excl),
+    **{name: (tuple(f for row in IMPLICATIONS if row[0] == name
+                    for f in row[1:3]), _v_implication) for name in _IMPLIED},
 }
 
 
@@ -1663,9 +1657,14 @@ def replay_certificate(node: dict) -> bool:
 def _replay(node: dict):
     _expect(isinstance(node, dict), "not a certificate node")
     rule = node.get("rule")
-    _expect(rule in VALIDATORS, f"unknown rule {rule!r}")
     _expect(node.get("answer") in (YES, NO), "answer must be decided")
-    s, t = _p(node["s"]), _p(node["t"])
-    VALIDATORS[rule](node, s, t)
+    if rule in CLASSIFIERS:
+        fields, check = CLASSIFIERS[rule]
+        _expect(node.get("claim") in fields, "claim")
+        _expect(node["s"] == node["t"], "a classification has one subject")
+        check(node, _p(node["t"]))
+    else:
+        _expect(rule in VALIDATORS, f"unknown rule {rule!r}")
+        VALIDATORS[rule](node, _p(node["s"]), _p(node["t"]))
     for q in node["premises"]:
         _replay(q)

@@ -64,6 +64,13 @@ def test_type_classify_expect():
                 "--expect", "homogeneous=NO"])[0] == 2
 
 
+def test_type_classify_applies_contrapositives():
+    # z is decomposable and not 2, so it is not untranscendable, hence
+    # not s-untranscendable
+    assert run(["type", "classify", "z",
+                "--expect", "s_untranscendable=NO"])[0] == 0
+
+
 def test_type_square():
     code, out, _ = run(["type", "square", "q"])
     assert code == 0

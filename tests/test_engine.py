@@ -7,18 +7,27 @@ import pytest
 from ordtypes.engine import (
     DEFAULT_RULE_ORDER,
     Engine,
+    IMPLICATIONS,
     PROFILE_FIELDS,
+    _ordinal_flags,
+    _ProfileBuilder,
+    _sumify,
     replay_certificate,
 )
 from ordtypes.terms import (
+    OrdLeaf,
+    Prod,
     Sum,
+    co_ordinal,
+    fin,
     normalize,
     parse_normalized,
     print_term,
+    pure_ordinal,
     reverse_term,
 )
 
-from helpers import REGRESSION_CORPUS, T
+from helpers import REGRESSION_CORPUS, T, rand_ordinal
 
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 
@@ -112,15 +121,48 @@ def test_classify_frozen(eng):
             assert getattr(prof, name).answer == answer, (text, name)
 
 
+def _closure_gaps(t, answers):
+    """The rows of the implication table the profile answers of t are
+    not closed under, forward or by contrapositive; a violated row is
+    a gap too."""
+    gaps = []
+    for name, premise, conclusion, side, _ in IMPLICATIONS:
+        if side(t) and (answers[premise] == YES and answers[conclusion] != YES
+                        or answers[conclusion] == NO and answers[premise] != NO):
+            gaps.append((name, premise, conclusion))
+    return gaps
+
+
 def test_classify_profile_internal_consistency(eng):
     for text in REGRESSION_CORPUS:
         p = eng.classify_type(T(text))
-        if p.s_untranscendable.is_yes:
-            assert not p.untranscendable.is_no, text
-        if p.strongly_indecomposable.is_yes:
-            assert not p.indecomposable.is_no, text
+        assert _closure_gaps(T(text), p.answers()) == [], text
         if p.sum_closed.is_yes:
             assert not p.indecomposable.is_no, text
+
+
+def test_general_catalogue_agrees_with_ordinal_closed_form(eng):
+    # ordinals and reversed ordinals forced through the general catalogue
+    # and the implication table must never contradict the closed form
+    rng = random.Random(5)
+    terms = set()
+    for _ in range(360):
+        t = OrdLeaf(rand_ordinal(rng, depth=3, max_coeff=5))
+        terms |= {normalize(t), normalize(reverse_term(t))}
+    assert len(terms) > 300
+    decided, disagreements = 0, []
+    for t in sorted(terms, key=print_term):
+        b = _ProfileBuilder(t)
+        eng._classify_general(b)
+        a = pure_ordinal(t)
+        flags = _ordinal_flags(a if a is not None else co_ordinal(t), a is None)
+        for field, v in b.fields.items():
+            if v.decided:
+                decided += 1
+                if flags.get(field) != v.answer:
+                    disagreements.append((print_term(t), field, v.answer))
+    assert disagreements == []
+    assert decided > 2000
 
 
 def test_classification_is_equimorphism_invariant(eng):
@@ -202,17 +244,18 @@ def test_all_certificates_replay(eng):
         )[:400]
 
 
-# The rules decided by their side conditions alone: replay recomputes
-# their whole instantiation.  (Some recursive rules' checks ignore parts
-# of theirs, such as R-ABSORB's piece index.)
+# The rules whose replay requires the whole instantiation to be what it
+# recomputes: the rules decided by their side conditions alone, R-ABSORB
+# (its piece) and R-GEOM-PROD (nothing).  (Some other recursive rules'
+# checks ignore parts of theirs, such as R-PROD-SUMFOLD's products.)
 SIDE_CONDITION_RULES = {
     "R-EMPTY", "R-REFL", "R-ORD", "R-CO-ORD", "R-FIN", "R-CARD", "R-SCAT",
     "R-STRUCT", "R-ETA-UNIV", "R-LAMBDA-SEP", "R-WO-REVSUM",
-    "R-BLOCK-UNBOUNDED",
+    "R-BLOCK-UNBOUNDED", "R-ABSORB", "R-GEOM-PROD",
 }
 
 
-def _corruptions(node):
+def _corruptions(node, eng):
     flip = dict(node)
     flip["answer"] = NO if node["answer"] == YES else YES
     yield flip
@@ -229,12 +272,25 @@ def _corruptions(node):
         forged = dict(node)
         forged["instantiation"] = dict(node["instantiation"], forged=True)
         yield forged
+    if "claim" in node:
+        # a classification about another term
+        other = next(x for x in REGRESSION_CORPUS if T(x) != T(node["t"]))
+        yield dict(node, s=other)
+        # ... or of another field, unless the engine decides that field
+        # the same way, so that the forged claim holds
+        answers = eng.classify_type(T(node["t"])).answers()
+        for field in PROFILE_FIELDS:
+            if answers[field] != node["answer"]:
+                yield dict(node, claim=field)
 
 
 def test_corrupted_certificates_rejected(eng):
+    # the corpus meets R-GEOM-PROD only inside other certificates
+    geom_prod = eng.embeds(T("geomrev(w)"), T("w^(w)*w~"))
+    assert geom_prod.certificate["rule"] == "R-GEOM-PROD"
     checked = 0
-    for v in _decided_verdicts(eng):
-        for bad in _corruptions(v.certificate):
+    for v in _decided_verdicts(eng) + [geom_prod]:
+        for bad in _corruptions(v.certificate, eng):
             if replay_certificate(bad):
                 raise AssertionError(
                     "accepted corrupted certificate: "
@@ -244,25 +300,83 @@ def test_corrupted_certificates_rejected(eng):
     assert checked > 300
 
 
+def _classification(x, answer, rule, claim, premises):
+    return {"answer": answer, "rule": rule, "claim": claim, "s": x, "t": x,
+            "instantiation": {}, "premises": premises, "axioms": []}
+
+
 def test_premises_about_other_terms_rejected(eng):
-    # each forged node about z cites sound certificates about other
-    # terms as its premises; z is transcendable, so no true premise
-    # could make it strongly indecomposable through C-SIGMA-SI
-    assert eng.classify_type(T("z")).untranscendable.is_no
+    # for each row of the implication table, either way, forged nodes
+    # about a term x whose profile decides the claim the other way; the
+    # premise is a sound node for the field the row starts from about
+    # another term, or a sound node about x: for another field (a claim
+    # swap), or for that field where the row's side condition fails
+    profiles = {x: eng.classify_type(T(x)) for x in REGRESSION_CORPUS}
+    forged = []
+    for name, premise, conclusion, side, _ in IMPLICATIONS:
+        for answer, start, end in ((YES, premise, conclusion),
+                                   (NO, conclusion, premise)):
+            for x, px in profiles.items():
+                if getattr(px, end).answer in (answer, UNKNOWN):
+                    continue
+                other = [getattr(p, start) for y, p in profiles.items()
+                         if y != x and getattr(p, start).answer == answer]
+                own = [getattr(px, f) for f in PROFILE_FIELDS
+                       if getattr(px, f).answer == answer]
+                for v in other[:1] + own:
+                    forged.append(_classification(x, answer, name, end,
+                                                  [v.certificate]))
+    assert len(forged) > 100
 
     def cert(s, t):
         return eng.embeds(T(s), T(t)).certificate
 
-    def node(answer, rule, premises, inst=None):
-        return {"answer": answer, "rule": rule, "s": "z", "t": "z",
-                "instantiation": inst or {}, "premises": premises,
-                "axioms": []}
+    z, q, w_plus_1 = profiles["z"], profiles["q"], profiles["w + 1"]
+    assert z.strictly_indec_left.is_no and w_plus_1.indecomposable.is_no
+    forged += [
+        # a trichotomy step about z from facts about other terms
+        _classification("z", YES, "C-TRICH-EXCL", "strictly_indec_left",
+                        [cert("3", "2"), q.strictly_indec_right.certificate,
+                         q.indecomposable.certificate]),
+        # ... and one about the decomposable w + 1, for which the
+        # trichotomy does not hold
+        _classification("w + 1", YES, "C-TRICH-EXCL", "strictly_indec_left",
+                        [cert("w + 1 + w + 1", "w + 1"),
+                         w_plus_1.strictly_indec_right.certificate]),
+    ]
+    # GARRETT's first premise must certify s-untranscendability, not
+    # another field of the same term
+    wq = profiles["w*q"]
+    t = T("w*q")
+    forged.append({
+        "answer": YES, "rule": "GARRETT", "s": print_term(normalize(Prod(t, t))),
+        "t": "w*q", "instantiation": {}, "axioms": [],
+        "premises": [wq.indecomposable.certificate,
+                     eng.embeds(_sumify([t, t]), t).certificate,
+                     eng.embeds(normalize(Prod(fin(2), t)), t).certificate],
+    })
+    for bad in forged:
+        assert all(replay_certificate(q) for q in bad["premises"])
+        assert not replay_certificate(bad), json.dumps(bad)[:400]
 
+
+def test_embedding_premises_must_be_embeddings(eng):
+    # a classification node about x, with s == t == x, and an EQ node
+    # refuting an equimorphism both print like an embedding; neither
+    # may stand in for one
+    w_homog = eng.classify_type(T("w")).homogeneous
+    w_rev_homog = eng.classify_type(T("w~")).homogeneous
+    eq = eng.equimorphic(T("w"), T("w^(2)"))
+    assert w_homog.is_no and w_rev_homog.is_no and eq.is_no
+    assert eng.embeds(T("z"), T("z")).is_yes
+    assert eng.embeds(T("w~"), T("w^(2)~")).is_yes
     forged = [
-        node(YES, "C-TRICH-EXCL", [cert("3", "2"), cert("w~", "w")],
-             {"excluded": ["double", "strictly_indec_left"]}),
-        node(YES, "C-SIGMA-SI", [cert("1", "2")]),
-        node(NO, "C-STRICT-NEEDS-INDEC", [cert("3", "2")]),
+        {"answer": NO, "rule": "R-SEP-SUM", "s": "z", "t": "z",
+         "instantiation": {"variant": "plain", "s_cut": 0, "t_cut": 0},
+         "premises": [w_rev_homog.certificate, w_homog.certificate],
+         "axioms": []},
+        {"answer": NO, "rule": "R-REV", "s": "w~", "t": "w^(2)~",
+         "instantiation": {}, "premises": [eq.certificate], "axioms": []},
     ]
     for bad in forged:
         assert all(replay_certificate(q) for q in bad["premises"])
