@@ -8,10 +8,11 @@ independently of the search.  UNKNOWN is an honest answer: the rule set
 is sound, not complete.
 
 Each embedding rule is declared once, in ``RULES``: its name, in the
-default order, with its search side and its replay check.  A rule
-decided by side conditions alone is one ``decide(s, t)`` function that
-both sides call; a recursive rule keeps a separate check, so the
-replayer runs no search.  Certificates carry axiom tags: "AC" marks a
+default order, with its search.  A rule decided by side conditions
+alone is one ``decide(s, t)`` function that the search calls and replay
+calls again; replay checks a node of a recursive rule by running the
+rule's search once against the node's premises, so the same code finds
+and checks it.  Certificates carry axiom tags: "AC" marks a
 use of the axiom of choice, and such conclusions are withheld under
 ``use_choice=False``; "classical" marks the universality of the rational
 line for countable orders (R-ETA-UNIV), which replay requires.
@@ -328,8 +329,8 @@ class InconsistencyError(RuntimeError):
 # side-condition rules
 #
 # Each ``decide(s, t)`` returns the rule's (answer, instantiation) for
-# the goal s <= t, or None when the rule does not apply.  The search and
-# the replay check of the rule both call it (see ``RULES``).
+# the goal s <= t, or None when the rule does not apply.  The search of
+# the rule and its replay both call it (see ``RULES``).
 
 
 def _decide_empty(s, t):
@@ -1189,11 +1190,11 @@ class Engine:
 # ---------------------------------------------------------------------------
 # certificate replay
 #
-# Every validator recomputes its rule's side conditions from the terms
-# printed in the certificate, checks that the recorded premises are the
-# ones the rule requires, and recurses.  A tampered certificate fails.
-# The validators of the R-rules are the check sides of ``RULES``; those
-# of the C-rules, which classify one term, are in ``CLASSIFIERS``.
+# Replay checks each node from the terms printed in it and the nodes of
+# its premises, then checks the premises in turn.  A node of an R-rule is
+# checked by the rule itself (see ``RULES``); the checks of the C-rules,
+# which classify one term, are in ``CLASSIFIERS``, and those of EQ and
+# GARRETT in ``VALIDATORS``.  A tampered certificate fails.
 
 
 class CertificateError(ValueError):
@@ -1217,15 +1218,23 @@ def _expect(cond, why):
         raise CertificateError(why)
 
 
-def _premise_term(text, node, t) -> Term:
-    """A term printed in a premise of the node whose subject is t;
-    printed as the node's t, it is t and needs no parse."""
-    return t if text == node["t"] else _p(text)
+def _premise_term(text, node, s, t) -> Term:
+    """A term printed in a premise of the node whose terms are s and t;
+    printed as one of those, it needs no parse."""
+    if text == node["t"]:
+        return t
+    return s if text == node["s"] else _p(text)
+
+
+def _premise_terms(q, node, s, t):
+    """The terms (s, t) printed in the premise q of the node whose terms
+    are s and t."""
+    qt = _premise_term(q["t"], node, s, t)
+    return (qt if q["s"] == q["t"] else _premise_term(q["s"], node, s, t)), qt
 
 
 def _premise_triple(q, node, t):
-    return (_premise_term(q["s"], node, t), _premise_term(q["t"], node, t),
-            q["answer"])
+    return (*_premise_terms(q, node, t, t), q["answer"])
 
 
 def _certifies(q, node, t, claim, answer) -> bool:
@@ -1241,166 +1250,6 @@ def _v_eq(node, s, t):
         _expect(prem == [(s, t, YES), (t, s, YES)], "EQ premises")
     else:
         _expect(prem in ([(s, t, NO)], [(t, s, NO)]), "EQ premises")
-
-
-def _v_r_dense_abs(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    _expect(isinstance(t, (Eta, Lambda)) and isinstance(s, Sum), "shape")
-    _expect(
-        _prem_triples(node) == [(p, t, YES) for p in s.parts], "premises"
-    )
-
-
-def _v_r_absorb(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    inst = node["instantiation"]
-    _expect(list(inst) == ["piece"], "instantiation")
-    piece = _p(inst["piece"])
-    _expect(piece in term_pieces(t), "piece not convex in target")
-    _expect(_prem_triples(node) == [(s, piece, YES)], "premises")
-
-
-def _v_r_sum_dp(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    _expect(isinstance(s, Sum) and isinstance(t, Sum), "shape")
-    segs = node["instantiation"]["segments"]
-    prem = _prem_triples(node)
-    _expect(len(segs) == len(prem), "segment count")
-    pos = 0
-    last_j = -1
-    for (i, a, jj), (ps, pt, ans) in zip(segs, prem):
-        _expect(i == pos and a >= 1 and jj > last_j, "segment order")
-        _expect(jj < len(t.parts), "segment target")
-        _expect(ps == _sumify(s.parts[i : i + a]), "segment source")
-        _expect(pt == t.parts[jj] and ans == YES, "segment premise")
-        pos = i + a
-        last_j = jj
-    _expect(pos == len(s.parts), "segments incomplete")
-
-
-def _v_r_prod_mono(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    _expect(isinstance(s, Prod) and isinstance(t, Prod), "shape")
-    _expect(
-        _prem_triples(node)
-        == [(s.inner, t.inner, YES), (s.index, t.index, YES)],
-        "premises",
-    )
-
-
-def _v_r_prod_sumfold(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    sc = (s.inner, s.index) if isinstance(s, Prod) else _sum_of_prods_fold(s)
-    tc = (t.inner, t.index) if isinstance(t, Prod) else _sum_of_prods_fold(t)
-    _expect(sc is not None and tc is not None, "no product form")
-    _expect(isinstance(s, Sum) or isinstance(t, Sum), "nothing folded")
-    _expect(
-        _prem_triples(node) == [(sc[0], tc[0], YES), (sc[1], tc[1], YES)],
-        "premises",
-    )
-
-
-def _v_r_psi_tau(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    _expect(isinstance(s, Sum) and isinstance(t, Prod), "shape")
-    i = node["instantiation"]["split"]
-    _expect(0 < i < len(s.parts), "split")
-    head = _sumify(s.parts[:i])
-    rest = _sumify([ONE_T] + list(s.parts[i:]))
-    _expect(
-        _prem_triples(node) == [(head, t.inner, YES), (rest, t.index, YES)],
-        "premises",
-    )
-
-
-def _v_r_geom_reindex(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    _expect(
-        type(s) is type(t) and isinstance(s, (GeomOmega, GeomOmegaStar)),
-        "shape",
-    )
-    _expect(_prem_triples(node) == [(s.base, t.base, YES)], "premises")
-
-
-def _v_r_geom_prod(node, s, t):
-    _expect(node["answer"] == YES and node["instantiation"] == {}, "answer")
-    _expect(isinstance(t, Prod), "shape")
-    g = _geom_pure_base(s)
-    _expect(g is not None, "base not ordinal-like")
-    rho, star, rev_base = g
-    gamma = co_ordinal(t.inner) if rev_base else pure_ordinal(t.inner)
-    _expect(gamma is not None and rho ** OMEGA <= gamma, "block bound")
-    marker = OMEGA_STAR if star else OMEGA_T
-    _expect(_prem_triples(node) == [(marker, t.index, YES)], "premises")
-
-
-def _v_r_geom(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    direction = node["instantiation"]["direction"]
-    if direction == "omega":
-        _expect(isinstance(s, GeomOmega), "shape")
-        cond = _sumify([ONE_T, normalize(Prod(s.base, t))])
-        _expect(_prem_triples(node) == [(cond, t, YES)], "premises")
-    else:
-        _expect(isinstance(s, GeomOmegaStar), "shape")
-        rt = normalize(reverse_term(t))
-        rb = normalize(reverse_term(s.base))
-        cond = _sumify([ONE_T, normalize(Prod(rb, rt))])
-        _expect(_prem_triples(node) == [(cond, rt, YES)], "premises")
-
-
-def _v_r_revsum_omega(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    alpha = pure_ordinal(s)
-    _expect(alpha is not None and not alpha.is_finite(), "source shape")
-    _expect(isinstance(t, Prod), "target shape")
-    c = t.inner
-    ok = isinstance(c, SeqSumStar) and alpha <= c.limit
-    if not ok:
-        g = _geom_pure_base(c)
-        ok = g is not None and g[1] and not g[2] and alpha <= g[0] ** OMEGA
-    _expect(ok, "inner factor lacks cofinal blocks")
-    _expect(_prem_triples(node) == [(OMEGA_T, t.index, YES)], "premises")
-
-
-def _v_r_sep_prod(node, s, t):
-    _expect(node["answer"] == NO, "answer")
-    _expect(isinstance(s, Prod) and isinstance(t, Prod), "shape")
-    a, b, c, d = s.inner, s.index, t.inner, t.index
-    prem = _prem_triples(node)
-    variant = node["instantiation"]["variant"]
-    if variant == "plain":
-        _expect("AC" in node["axioms"], "missing AC tag")
-        _expect(prem == [(a, c, NO), (b, d, NO)], "premises")
-    else:
-        probe = _sumify([ONE_T, a]) if variant == "one-left" else _sumify([a, ONE_T])
-        _expect(total_count(a) != 0 or total_count(c) != 0, "degenerate")
-        _expect(prem == [(probe, c, NO), (b, d, NO)], "premises")
-
-
-def _v_r_sep_sum(node, s, t):
-    _expect(node["answer"] == NO, "answer")
-    inst = node["instantiation"]
-    scuts, tcuts = term_cuts(s), term_cuts(t)
-    _expect(0 <= inst["s_cut"] < len(scuts), "cut index")
-    _expect(0 <= inst["t_cut"] < len(tcuts), "cut index")
-    phi, psi = scuts[inst["s_cut"]]
-    tau, rho = tcuts[inst["t_cut"]]
-    prem = _prem_triples(node)
-    if inst["variant"] == "plain":
-        _expect(prem == [(phi, tau, NO), (psi, rho, NO)], "premises")
-    else:
-        _expect(
-            prem == [(phi, tau, NO), (_sumify([ONE_T, psi]), rho, NO)],
-            "premises",
-        )
-
-
-def _v_r_rev(node, s, t):
-    rs, rt = normalize(reverse_term(s)), normalize(reverse_term(t))
-    _expect(
-        _prem_triples(node) == [(rs, rt, node["answer"])], "premises"
-    )
 
 
 def _v_garrett(node, s, t):
@@ -1559,28 +1408,23 @@ def _v_implication(node, t):
 
 
 def _side_condition_rule(name, decide, axioms=()):
-    """The (search, check) pair of a rule decided by its side conditions
-    alone.  The search certifies what ``decide`` gives; the check
-    recomputes it from the printed terms and requires the node's answer
-    and instantiation to equal it."""
+    """The ``RULES`` entry of a rule decided by its side conditions
+    alone: a search that certifies what ``decide`` gives, and the
+    (decide, axioms) pair that replay checks its nodes by."""
 
     def search(engine, s, t, depth):
         d = decide(s, t)
         return None if d is None else _cert(d[0], name, s, t, d[1], axioms=axioms)
 
-    def check(node, s, t):
-        _expect(decide(s, t) == (node["answer"], node["instantiation"]),
-                "side conditions")
-        for ax in axioms:
-            _expect(ax in node["axioms"], f"missing {ax} tag")
-
-    return search, check
+    return search, (decide, axioms)
 
 
-# The embedding rules, in the default order: name -> (search, check).
-# ``search(engine, s, t, depth)`` returns a decided Verdict or None;
-# ``check(node, s, t)`` raises CertificateError unless the node is a
-# sound use of the rule.
+# The embedding rules, in the default order: name -> (search, side).
+# ``search(engine, s, t, depth)`` returns a decided Verdict or None and
+# may use only ``_embeds`` and ``use_choice`` of its engine argument, so
+# that replay can run it against a node's premises (``_Premises``).
+# ``side`` is (decide, axiom tags) of a rule decided by its side
+# conditions alone, which replay calls instead, and None otherwise.
 RULES = {
     "R-EMPTY": _side_condition_rule("R-EMPTY", _decide_empty),
     "R-REFL": _side_condition_rule("R-REFL", _decide_refl),
@@ -1592,32 +1436,28 @@ RULES = {
     "R-STRUCT": _side_condition_rule("R-STRUCT", _decide_struct),
     "R-ETA-UNIV": _side_condition_rule("R-ETA-UNIV", _decide_eta_univ,
                                        axioms=("classical",)),
-    "R-DENSE-ABS": (Engine._rule_r_dense_abs, _v_r_dense_abs),
+    "R-DENSE-ABS": (Engine._rule_r_dense_abs, None),
     "R-LAMBDA-SEP": _side_condition_rule("R-LAMBDA-SEP", _decide_lambda_sep),
-    "R-ABSORB": (Engine._rule_r_absorb, _v_r_absorb),
-    "R-SUM-DP": (Engine._rule_r_sum_dp, _v_r_sum_dp),
-    "R-PROD-MONO": (Engine._rule_r_prod_mono, _v_r_prod_mono),
-    "R-PROD-SUMFOLD": (Engine._rule_r_prod_sumfold, _v_r_prod_sumfold),
-    "R-PSI-TAU": (Engine._rule_r_psi_tau, _v_r_psi_tau),
-    "R-GEOM-REINDEX": (Engine._rule_r_geom_reindex, _v_r_geom_reindex),
-    "R-GEOM-PROD": (Engine._rule_r_geom_prod, _v_r_geom_prod),
-    "R-GEOM": (Engine._rule_r_geom, _v_r_geom),
-    "R-REVSUM-OMEGA": (Engine._rule_r_revsum_omega, _v_r_revsum_omega),
+    "R-ABSORB": (Engine._rule_r_absorb, None),
+    "R-SUM-DP": (Engine._rule_r_sum_dp, None),
+    "R-PROD-MONO": (Engine._rule_r_prod_mono, None),
+    "R-PROD-SUMFOLD": (Engine._rule_r_prod_sumfold, None),
+    "R-PSI-TAU": (Engine._rule_r_psi_tau, None),
+    "R-GEOM-REINDEX": (Engine._rule_r_geom_reindex, None),
+    "R-GEOM-PROD": (Engine._rule_r_geom_prod, None),
+    "R-GEOM": (Engine._rule_r_geom, None),
+    "R-REVSUM-OMEGA": (Engine._rule_r_revsum_omega, None),
     "R-WO-REVSUM": _side_condition_rule("R-WO-REVSUM", _decide_wo_revsum),
     "R-BLOCK-UNBOUNDED": _side_condition_rule("R-BLOCK-UNBOUNDED",
                                               _decide_block_unbounded),
-    "R-SEP-PROD": (Engine._rule_r_sep_prod, _v_r_sep_prod),
-    "R-SEP-SUM": (Engine._rule_r_sep_sum, _v_r_sep_sum),
-    "R-REV": (Engine._rule_r_rev, _v_r_rev),
+    "R-SEP-PROD": (Engine._rule_r_sep_prod, None),
+    "R-SEP-SUM": (Engine._rule_r_sep_sum, None),
+    "R-REV": (Engine._rule_r_rev, None),
 }
 
 DEFAULT_RULE_ORDER = tuple(RULES)
 
-VALIDATORS = {
-    "EQ": _v_eq,
-    **{name: check for name, (_, check) in RULES.items()},
-    "GARRETT": _v_garrett,
-}
+VALIDATORS = {"EQ": _v_eq, "GARRETT": _v_garrett}
 
 
 # The classification rules: name -> (the profile fields a node of the
@@ -1645,26 +1485,86 @@ CLASSIFIERS = {
 }
 
 
+class _Premises:
+    """The engine a recursive rule's search runs against in replay: each
+    goal that is an embedding premise of one node gets that premise's
+    answer and certificate, and every other goal UNKNOWN.  A rule stays
+    sound when a goal answers UNKNOWN, so this cannot make it unsound.
+    Choice is allowed; a node that used it must carry the AC tag the
+    search then adds."""
+
+    use_choice = True
+
+    def __init__(self, premises):
+        # premises: (node, s, t) of each premise, its terms parsed
+        self._verdicts = {(s, t): Verdict(q["answer"], q)
+                          for q, s, t in premises if q["rule"] in RULES}
+
+    def _embeds(self, s, t, depth):
+        return self._verdicts.get((s, t), UNK)
+
+
 def replay_certificate(node: dict) -> bool:
-    """Revalidate a certificate tree; True when every node checks out."""
+    """Revalidate a certificate tree; True when every node checks out.
+
+    Replay trusts the term layer: ``parse_normalized``, ``normalize``,
+    ``print_term``, ``term_cuts``, ``term_pieces``, ``facts``,
+    ``total_count`` and CNF ordinal arithmetic.  It trusts each rule:
+    each side-condition rule's ``decide``, each recursive rule's search
+    run for one step against the node's premises, the checks of
+    ``CLASSIFIERS`` and ``VALIDATORS``, and ``IMPLICATIONS``.  It does not
+    trust how the search used the rules: the memo, cycle cuts, UNKNOWN
+    reuse, the depth bound and the rule order play no part in replay.
+    The tree is walked depth first with an explicit stack, so a deep
+    certificate ends in True or False, never in a RecursionError, and a
+    node that is its own premise, directly or further down, is rejected."""
     try:
-        _replay(node)
+        _expect(isinstance(node, dict), "not a certificate node")
+        t = _p(node["t"])
+        todo = [(node, t if node["s"] == node["t"] else _p(node["s"]), t)]
+        path = set()  # ids of the nodes whose premises are being checked
+        while todo:
+            node, s, t = todo.pop()
+            if s is None:  # every premise of the node checked out
+                path.discard(id(node))
+                continue
+            _expect(id(node) not in path, "a node is its own premise")
+            path.add(id(node))
+            todo += [(node, None, None)] + _replay(node, s, t)
         return True
     except (CertificateError, KeyError, ValueError, TypeError):
         return False
 
 
-def _replay(node: dict):
-    _expect(isinstance(node, dict), "not a certificate node")
-    rule = node.get("rule")
+def _replay(node: dict, s: Term, t: Term):
+    """Check the node whose printed terms are s and t, but not its
+    premises; return (premise, s, t) for each of them."""
     _expect(node.get("answer") in (YES, NO), "answer must be decided")
+    rule = node.get("rule")
+    prem = [(q, *_premise_terms(q, node, s, t)) for q in node["premises"]]
+    if rule in RULES:
+        search, side = RULES[rule]
+        if side is None:
+            # the exact match covers the answer, instantiation, premises
+            # (the same objects) and axiom tags
+            v = search(_Premises(prem), s, t, inf)
+            _expect(v is not None and v.certificate == node,
+                    "the rule does not derive the node from its premises")
+        else:
+            decide, axioms = side
+            _expect(decide(s, t) == (node["answer"], node["instantiation"]),
+                    "side conditions")
+            _expect(not prem and node["axioms"] == list(axioms),
+                    "premises or axiom tags")
+        return prem
     if rule in CLASSIFIERS:
         fields, check = CLASSIFIERS[rule]
         _expect(node.get("claim") in fields, "claim")
         _expect(node["s"] == node["t"], "a classification has one subject")
-        check(node, _p(node["t"]))
+        check(node, t)
     else:
         _expect(rule in VALIDATORS, f"unknown rule {rule!r}")
-        VALIDATORS[rule](node, _p(node["s"]), _p(node["t"]))
-    for q in node["premises"]:
-        _replay(q)
+        VALIDATORS[rule](node, s, t)
+    _expect(all(ax in node["axioms"] for q, _, _ in prem for ax in q["axioms"]),
+            "a premise's axiom tag is missing")
+    return prem

@@ -9,6 +9,7 @@ from ordtypes.engine import (
     Engine,
     IMPLICATIONS,
     PROFILE_FIELDS,
+    RULES,
     _ordinal_flags,
     _ProfileBuilder,
     _sumify,
@@ -244,34 +245,32 @@ def test_all_certificates_replay(eng):
         )[:400]
 
 
-# The rules whose replay requires the whole instantiation to be what it
-# recomputes: the rules decided by their side conditions alone, R-ABSORB
-# (its piece) and R-GEOM-PROD (nothing).  (Some other recursive rules'
-# checks ignore parts of theirs, such as R-PROD-SUMFOLD's products.)
-SIDE_CONDITION_RULES = {
-    "R-EMPTY", "R-REFL", "R-ORD", "R-CO-ORD", "R-FIN", "R-CARD", "R-SCAT",
-    "R-STRUCT", "R-ETA-UNIV", "R-LAMBDA-SEP", "R-WO-REVSUM",
-    "R-BLOCK-UNBOUNDED", "R-ABSORB", "R-GEOM-PROD",
-}
-
-
 def _corruptions(node, eng):
     flip = dict(node)
     flip["answer"] = NO if node["answer"] == YES else YES
     yield flip
-    swap = dict(node)
-    swap["s"], swap["t"] = node["t"], node["s"]
-    if node["s"] != node["t"]:
-        yield swap
+    # the converse claim, unless the same step proves it: R-GEOM-REINDEX
+    # gives geomrev(w, 7) <= geomrev(w) and its converse from w <= w
+    reindex = node["rule"] == "R-GEOM-REINDEX" and (
+        node["premises"][0]["s"] == node["premises"][0]["t"])
+    if node["s"] != node["t"] and not reindex:
+        yield dict(node, s=node["t"], t=node["s"])
     if node["premises"]:
         deep = json.loads(json.dumps(node))
         prem = deep["premises"][0]
         prem["answer"] = NO if prem["answer"] == YES else YES
         yield deep
-    if node["rule"] in SIDE_CONDITION_RULES:
-        forged = dict(node)
-        forged["instantiation"] = dict(node["instantiation"], forged=True)
-        yield forged
+    for i in range(len(node["premises"])):
+        yield dict(node, premises=node["premises"][:i] + node["premises"][i + 1:])
+    if node["axioms"]:
+        # the tags the node states or inherits from its premises
+        yield dict(node, axioms=[])
+    if node["rule"] in RULES:
+        inst = node["instantiation"]
+        yield dict(node, instantiation=dict(inst, forged=True))
+        for key, value in inst.items():
+            if value != "1":
+                yield dict(node, instantiation=dict(inst, **{key: "1"}))
     if "claim" in node:
         # a classification about another term
         other = next(x for x in REGRESSION_CORPUS if T(x) != T(node["t"]))
@@ -284,20 +283,109 @@ def _corruptions(node, eng):
                 yield dict(node, claim=field)
 
 
-def test_corrupted_certificates_rejected(eng):
-    # the corpus meets R-GEOM-PROD only inside other certificates
-    geom_prod = eng.embeds(T("geomrev(w)"), T("w^(w)*w~"))
-    assert geom_prod.certificate["rule"] == "R-GEOM-PROD"
+def _distinct_nodes(certificates):
+    """The distinct nodes of the certificates, nested ones included."""
+    seen, nodes = set(), {}
+    todo = list(certificates)
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.setdefault(json.dumps(node, sort_keys=True), node)
+            todo.extend(node["premises"])
+    return list(nodes.values())
+
+
+@pytest.fixture(scope="module")
+def seed23_verdicts():
+    """[(rule order, {(s, t): verdict})] for the three rule orders drawn
+    at seed 23: a fresh engine per order, asked every corpus pair in
+    corpus order."""
+    rng = random.Random(23)
+    out = []
+    for _ in range(3):
+        order = list(DEFAULT_RULE_ORDER)
+        rng.shuffle(order)
+        other = Engine(rule_order=order)
+        out.append((order, {(s, t): other.embeds(T(s), T(t))
+                            for s in REGRESSION_CORPUS
+                            for t in REGRESSION_CORPUS}))
+    return out
+
+
+# one pair for each rule that the corpus certificates under the default
+# and seed-23 orders do not reach, asked of a fresh engine whose order
+# puts that rule first (under the default order R-STRUCT refutes every
+# goal that R-BLOCK-UNBOUNDED refutes, and comes first)
+MISSING_RULE_PAIRS = {
+    "R-DENSE-ABS": ("r + r", "r"),
+    "R-PROD-SUMFOLD": ("w~ + w~ + w~ + w~", "z*z"),
+    "R-SEP-PROD": ("z*z", "z*w"),
+    "R-REVSUM-OMEGA": ("w^(w)", "revsum(w^(w))*w"),
+    "R-GEOM-PROD": ("geomrev(w)", "w^(w)*w~"),
+    "R-LAMBDA-SEP": ("r*r", "r"),
+    "R-BLOCK-UNBOUNDED": ("w~ + w~", "geomrev(w)"),
+}
+
+
+@pytest.fixture(scope="module")
+def rule_nodes(eng, seed23_verdicts):
+    """The distinct R-rule nodes, nested ones included, of the corpus
+    embeds certificates under the default order and the seed-23 orders,
+    and of ``MISSING_RULE_PAIRS``."""
+    verdicts = [eng.embeds(T(s), T(t)) for s in REGRESSION_CORPUS
+                for t in REGRESSION_CORPUS]
+    for _, asked in seed23_verdicts:
+        verdicts += asked.values()
+    for rule, (s, t) in MISSING_RULE_PAIRS.items():
+        order = (rule,) + tuple(r for r in DEFAULT_RULE_ORDER if r != rule)
+        v = Engine(rule_order=order).embeds(T(s), T(t))
+        assert v.certificate["rule"] == rule, (s, t)
+        verdicts.append(v)
+    nodes = _distinct_nodes(v.certificate for v in verdicts if v.decided)
+    return [n for n in nodes if n["rule"] in RULES]
+
+
+def test_every_rule_node_replays(rule_nodes):
+    assert {n["rule"] for n in rule_nodes} == set(RULES)
+    for node in rule_nodes:
+        assert replay_certificate(node), json.dumps(node)[:400]
+
+
+def test_replay_ends_on_deep_and_cyclic_certificates():
+    # 2,000 R-REV nodes, alternating w~ <= w^(2)~ and w <= w^(2), on an
+    # R-ORD leaf: far deeper than the interpreter's recursion limit
+    leaf = {"answer": YES, "rule": "R-ORD", "s": "w", "t": "w^(2)",
+            "instantiation": {"cmp": "LE"}, "premises": [], "axioms": []}
+    node = leaf
+    for k in range(2000):
+        s, t = ("w~", "w^(2)~") if k % 2 == 0 else ("w", "w^(2)")
+        node = {"answer": YES, "rule": "R-REV", "s": s, "t": t,
+                "instantiation": {}, "premises": [node], "axioms": []}
+    assert replay_certificate(node)
+    leaf["answer"] = NO
+    assert not replay_certificate(node)
+    # two R-REV nodes, each the other's premise, prove nothing
+    a = {"answer": YES, "rule": "R-REV", "s": "w~", "t": "w^(2)~",
+         "instantiation": {}, "premises": [], "axioms": []}
+    b = dict(a, s="w", t="w^(2)", premises=[a])
+    a["premises"].append(b)
+    assert not replay_certificate(a)
+
+
+def test_corrupted_certificates_rejected(eng, rule_nodes):
+    # the corpus certificates, and every R-rule node of the node set
+    # (the corpus meets some rules, such as R-GEOM-PROD, only nested)
     checked = 0
-    for v in _decided_verdicts(eng) + [geom_prod]:
-        for bad in _corruptions(v.certificate, eng):
+    for node in [v.certificate for v in _decided_verdicts(eng)] + rule_nodes:
+        for bad in _corruptions(node, eng):
             if replay_certificate(bad):
                 raise AssertionError(
                     "accepted corrupted certificate: "
                     + json.dumps(bad, default=str)[:400]
                 )
             checked += 1
-    assert checked > 300
+    assert checked > 5000
 
 
 def _classification(x, answer, rule, claim, premises):
@@ -417,18 +505,14 @@ def test_equimorphism_invariance_of_embeds(eng):
                 assert ua.answer == ub.answer, (a, b, probe)
 
 
-def test_rule_order_permutation_never_flips(eng):
-    rng = random.Random(23)
+def test_rule_order_permutation_never_flips(eng, seed23_verdicts):
     base = {}
     for s in REGRESSION_CORPUS:
         for t in REGRESSION_CORPUS:
             base[(s, t)] = eng.embeds(T(s), T(t)).answer
-    for _ in range(3):
-        order = list(DEFAULT_RULE_ORDER)
-        rng.shuffle(order)
-        other = Engine(rule_order=order)
+    for order, verdicts in seed23_verdicts:
         for (s, t), expect in base.items():
-            got = other.embeds(T(s), T(t)).answer
+            got = verdicts[(s, t)].answer
             # a pair the default order decides stays decided, the same way
             if expect != UNKNOWN:
                 assert got == expect, (s, t, order[:5])
