@@ -19,7 +19,6 @@ for the term language of this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .ordinals import OMEGA, Ordinal
@@ -37,6 +36,7 @@ from .terms import (
     Sum,
     Term,
     Zeta,
+    set_derived,
 )
 
 
@@ -164,8 +164,16 @@ def _leaf_free(t: Term, kinds) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def facts(t: Term) -> Facts:
+    """The structural facts of a normalized term, kept on the node."""
+    f = t._facts
+    if f is None:
+        f = _facts(t)
+        set_derived(t, "_facts", f)
+    return f
+
+
+def _facts(t: Term) -> Facts:
     n = total_count(t)
     return Facts(
         nonempty=n != 0,

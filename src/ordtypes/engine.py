@@ -60,6 +60,7 @@ from .terms import (
     pure_ordinal,
     rev_ordinal_term,
     reverse_term,
+    set_derived,
 )
 
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
@@ -126,9 +127,18 @@ def _npow(base: Term, n: int) -> Term:
     return normalize(power_term(base, n))
 
 
-def term_cuts(t: Term, deep: bool = True) -> List[Tuple[Term, Term]]:
+def term_cuts(t: Term, deep: bool = True) -> Tuple[Tuple[Term, Term], ...]:
     """Certified decompositions t = left + right with both parts
-    nonzero."""
+    nonzero; shallow ones leave the parts of a sum or product whole.
+    Kept on the node."""
+    out = t._cuts if deep else t._shallow_cuts
+    if out is None:
+        out = tuple(_cuts(t, deep))
+        set_derived(t, "_cuts" if deep else "_shallow_cuts", out)
+    return out
+
+
+def _cuts(t: Term, deep: bool) -> List[Tuple[Term, Term]]:
     out: List[Tuple[Term, Term]] = []
     if isinstance(t, OrdLeaf):
         a = t.value
@@ -146,7 +156,7 @@ def term_cuts(t: Term, deep: bool = True) -> List[Tuple[Term, Term]]:
                     out.append((OrdLeaf(cut), OrdLeaf(a - cut)))
     elif isinstance(t, RevOrd):
         for l, r in term_cuts(OrdLeaf(t.power), deep):
-            out.append((normalize(reverse_term(r)), normalize(reverse_term(l))))
+            out.append((reverse_term(r), reverse_term(l)))
     elif isinstance(t, Zeta):
         out.append((OMEGA_STAR, OMEGA_T))
     elif isinstance(t, Eta):
@@ -190,8 +200,16 @@ def term_cuts(t: Term, deep: bool = True) -> List[Tuple[Term, Term]]:
     return out
 
 
-def term_pieces(t: Term) -> List[Term]:
-    """Certified convex sub-orders t' with t' <= t."""
+def term_pieces(t: Term) -> Tuple[Term, ...]:
+    """Certified convex sub-orders t' with t' <= t.  Kept on the node."""
+    out = t._pieces
+    if out is None:
+        out = _pieces(t)
+        set_derived(t, "_pieces", out)
+    return out
+
+
+def _pieces(t: Term) -> Tuple[Term, ...]:
     out: List[Term] = []
     if isinstance(t, Sum):
         ps = t.parts
@@ -245,13 +263,13 @@ def term_pieces(t: Term) -> List[Term]:
     elif isinstance(t, SeqSumRev):
         out.append(OMEGA_T)
         rev_pieces = term_pieces(SeqSumStar(t.limit))
-        out.extend(normalize(reverse_term(p)) for p in rev_pieces)
+        out.extend(reverse_term(p) for p in rev_pieces)
     seen, uniq = set(), []
     for p in out:
         if p not in seen and p != t and total_count(p) != 0:
             seen.add(p)
             uniq.append(p)
-    return uniq
+    return tuple(uniq)
 
 
 def _block_sum_structure(t: Term):
@@ -318,6 +336,28 @@ _HEREDITARY_FACTS = (
     "final_segments_wo",
     "initial_segments_rwo",
 )
+
+
+def _sum_dp_plan(engine, sp, tp, i, j, depth, fail):
+    """R-SUM-DP's plan for the parts sp[i:] of s into the parts tp[j:]
+    of t: (i, a, jj, verdict) for each run sp[i:i+a] embedded in tp[jj],
+    or None; ``fail`` holds the (i, j) known to have none.  A function,
+    not a closure over the engine, which a recursive closure would keep
+    alive in a reference cycle."""
+    if i == len(sp):
+        return []
+    if j >= len(tp) or (i, j) in fail:
+        return None
+    for jj in range(j, len(tp)):
+        for a in range(1, min(3, len(sp) - i) + 1):
+            run = _sumify(sp[i : i + a])
+            v = engine._embeds(run, tp[jj], depth - 1)
+            if v.is_yes:
+                rest = _sum_dp_plan(engine, sp, tp, i + a, jj + 1, depth, fail)
+                if rest is not None:
+                    return [(i, a, jj, v)] + rest
+    fail.add((i, j))
+    return None
 
 
 class InconsistencyError(RuntimeError):
@@ -758,25 +798,7 @@ class Engine:
         sp, tp = s.parts, t.parts
         if len(sp) > 8 or len(tp) > 8:
             return None
-        fail = set()
-
-        def solve(i, j):
-            if i == len(sp):
-                return []
-            if j >= len(tp) or (i, j) in fail:
-                return None
-            for jj in range(j, len(tp)):
-                for a in range(1, min(3, len(sp) - i) + 1):
-                    run = _sumify(sp[i : i + a])
-                    v = self._embeds(run, tp[jj], depth - 1)
-                    if v.is_yes:
-                        rest = solve(i + a, jj + 1)
-                        if rest is not None:
-                            return [(i, a, jj, v)] + rest
-            fail.add((i, j))
-            return None
-
-        plan = solve(0, 0)
+        plan = _sum_dp_plan(self, sp, tp, 0, 0, depth, set())
         if plan is None:
             return None
         return _cert(
@@ -872,8 +894,8 @@ class Engine:
                 return _cert(YES, "R-GEOM", s, t,
                              inst={"direction": "omega"}, premises=(v,))
         elif isinstance(s, GeomOmegaStar):
-            rt = normalize(reverse_term(t))
-            rb = normalize(reverse_term(s.base))
+            rt = reverse_term(t)
+            rb = reverse_term(s.base)
             cond = _sumify([ONE_T, normalize(Prod(rb, rt))])
             v = self._embeds(cond, rt, depth - 1)
             if v.is_yes:
@@ -956,7 +978,7 @@ class Engine:
     def _rule_r_rev(self, s, t, depth):
         if depth <= 0:
             return None
-        rs, rt = normalize(reverse_term(s)), normalize(reverse_term(t))
+        rs, rt = reverse_term(s), reverse_term(t)
         if (rs, rt) == (s, t):
             return None
         v = self._embeds(rs, rt, depth - 1)
@@ -1509,7 +1531,11 @@ def replay_certificate(node: dict) -> bool:
 
     Replay trusts the term layer: ``parse_normalized``, ``normalize``,
     ``print_term``, ``term_cuts``, ``term_pieces``, ``facts``,
-    ``total_count`` and CNF ordinal arithmetic.  It trusts each rule:
+    ``total_count`` and CNF ordinal arithmetic.  Terms are interned, so
+    it trusts the intern table to give equal terms one node, and it
+    trusts the data kept on a node as computed once: its normal form and
+    reverse, its facts, and its pieces and cuts (deep and shallow), which
+    the search may have computed before the replay.  It trusts each rule:
     each side-condition rule's ``decide``, each recursive rule's search
     run for one step against the node's premises, the checks of
     ``CLASSIFIERS`` and ``VALIDATORS``, and ``IMPLICATIONS``.  It does not

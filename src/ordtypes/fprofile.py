@@ -26,7 +26,6 @@ against a brute-force neighbour-walking oracle on presented points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import inf
 from typing import Dict, Optional, Tuple
 
@@ -333,7 +332,6 @@ def _seqsum_cs(limit: Ordinal) -> ClassSeq:
     return ClassSeq(False, None, tail, _mk_census(census), False)
 
 
-@lru_cache(maxsize=None)
 def _cs(t: Term) -> Optional[ClassSeq]:
     if isinstance(t, OrdLeaf):
         return _ordinal_cs(t.value)

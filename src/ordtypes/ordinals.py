@@ -26,10 +26,11 @@ class CapacityError(Exception):
 class Ordinal:
     """An ordinal below epsilon_0 in Cantor normal form."""
 
-    __slots__ = ("_terms", "_depth")
+    __slots__ = ("_terms", "_depth", "_hash")
 
     _terms: Tuple[Tuple["Ordinal", int], ...]
     _depth: int
+    _hash: Optional[int]  # the hash of _terms, once computed
 
     def __init__(self, terms: Iterable[Tuple["Ordinal", int]] = ()):
         terms = tuple(terms)
@@ -50,6 +51,7 @@ class Ordinal:
             )
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_depth", depth)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("Ordinal is immutable")
@@ -122,7 +124,11 @@ class Ordinal:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(self._terms)
+        h = self._hash
+        if h is None:
+            h = hash(self._terms)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __lt__(self, other):
         if not isinstance(other, Ordinal):

@@ -31,7 +31,9 @@ sums, finite index products expanded, and every maximal pure-ordinal
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from .ordinals import (
@@ -43,20 +45,103 @@ from .ordinals import (
 )
 
 
+# The slots of a node that hold its derived data, None until computed.
+_DERIVED = ("_nf", "_rev", "_facts", "_pieces", "_cuts", "_shallow_cuts")
+
+
 class Term:
-    """Base class of all term nodes (immutable)."""
+    """Base class of all term nodes (immutable and interned).
 
-    __slots__ = ()
+    A constructor returns the live node with its class and fields when
+    there is one, so equal terms are the same object: equality is
+    identity, and the hash, that of the tuple of fields, is computed
+    once (hash-consing; Filliatre & Conchon, "Type-safe modular
+    hash-consing", ML Workshop 2006).  The data derived from a node is
+    kept in its slots, computed on first use, and dies with it: its
+    normal form and reverse (here), its facts (``analysis.facts``) and
+    its pieces and cuts (``engine.term_pieces``, ``engine.term_cuts``).
+    """
+
+    __slots__ = ("_hash", *_DERIVED, "__weakref__")
+
+    def __post_init__(self):
+        pass
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._names)
 
 
-@dataclass(frozen=True)
+#: Sets a slot of a node: its fields once, its derived data on first use.
+set_derived = object.__setattr__
+
+# (class, *fields) -> a weak reference to the node, with each term in
+# the fields by its id: a live node keeps its terms alive, so the ids
+# are theirs, and a dead entry keeps nothing alive.  It stays until the
+# next sweep, which runs when the table has doubled; weakref callbacks
+# would run Python code at arbitrary points, where a signal handler's
+# exception would be swallowed.
+_TABLE: dict = {}
+_SWEEP_AT = 1024
+
+
+# Held while a node is made and entered.  Reentrant, as a finalizer run
+# by the garbage collector while a node is made may make terms too.
+_MAKING = threading.RLock()
+
+
+def _intern(cls, key, values) -> Term:
+    """The live node of the class with these field values (``key``
+    names them), made if there is none."""
+    ref = _TABLE.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        with _MAKING:
+            node = _make(cls, key, values)
+    return node
+
+
+def _make(cls, key, values) -> Term:
+    global _TABLE, _SWEEP_AT
+    ref = _TABLE.get(key)  # another thread may have made it
+    node = None if ref is None else ref()
+    if node is not None:
+        return node
+    node = object.__new__(cls)
+    for name, value in zip(cls._names, values):
+        set_derived(node, name, value)
+    set_derived(node, "_hash", hash(values))
+    for name in _DERIVED:
+        set_derived(node, name, None)
+    node.__post_init__()
+    _TABLE[key] = weakref.ref(node)
+    if len(_TABLE) >= _SWEEP_AT:
+        _TABLE = {k: r for k, r in _TABLE.items() if r() is not None}
+        _SWEEP_AT = 2 * max(len(_TABLE), 512)
+    return node
+
+
+def _node(cls):
+    """Declare a term node class: a frozen dataclass of its fields,
+    compared by identity.  Its ``__new__`` calls ``_intern``."""
+    cls = dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
+    cls._names = tuple(f.name for f in fields(cls))
+    return cls
+
+
+@_node
 class OrdLeaf(Term):
     """A pure ordinal below epsilon_0."""
 
     value: Ordinal
 
+    def __new__(cls, value):
+        return _intern(cls, (cls, value), (value,))
 
-@dataclass(frozen=True)
+
+@_node
 class RevOrd(Term):
     """The reverse of an infinite additively indecomposable ordinal.
 
@@ -66,24 +151,36 @@ class RevOrd(Term):
 
     power: Ordinal
 
+    def __new__(cls, power):
+        return _intern(cls, (cls, power), (power,))
+
     def __post_init__(self):
         if self.power.is_finite() or not self.power.is_additively_indecomposable():
             raise ValueError("RevOrd requires an infinite w-power")
 
 
-@dataclass(frozen=True)
+@_node
 class Zeta(Term):
     """The order type of the integers."""
 
+    def __new__(cls):
+        return _intern(cls, (cls,), ())
 
-@dataclass(frozen=True)
+
+@_node
 class Eta(Term):
     """The order type of the rationals."""
 
+    def __new__(cls):
+        return _intern(cls, (cls,), ())
 
-@dataclass(frozen=True)
+
+@_node
 class Lambda(Term):
     """The order type of the reals."""
+
+    def __new__(cls):
+        return _intern(cls, (cls,), ())
 
 
 ZETA = Zeta()
@@ -91,39 +188,51 @@ ETA = Eta()
 LAMBDA = Lambda()
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Term):
     parts: Tuple[Term, ...]
+
+    def __new__(cls, parts):
+        return _intern(cls, (cls, *map(id, parts)), (parts,))
 
     def __post_init__(self):
         if not self.parts:
             raise ValueError("Sum needs at least one part")
 
 
-@dataclass(frozen=True)
+@_node
 class Prod(Term):
     """Every point of ``index`` replaced by a copy of ``inner``."""
 
     inner: Term
     index: Term
 
+    def __new__(cls, inner, index):
+        return _intern(cls, (cls, id(inner), id(index)), (inner, index))
 
-@dataclass(frozen=True)
+
+@_node
 class Rev(Term):
     """Reversal; eliminated by normalization."""
 
     arg: Term
 
+    def __new__(cls, arg):
+        return _intern(cls, (cls, id(arg)), (arg,))
 
-@dataclass(frozen=True)
+
+@_node
 class GeomOmega(Term):
     """Sum over n in w (n >= start) of base^n, ascending."""
 
     base: Term
     start: int = 0
 
+    def __new__(cls, base, start=0):
+        return _intern(cls, (cls, id(base), start), (base, start))
 
-@dataclass(frozen=True)
+
+@_node
 class GeomOmegaStar(Term):
     """Sum over n in w* (n >= start) of base^n, descending; base^start
     is the rightmost block."""
@@ -131,25 +240,34 @@ class GeomOmegaStar(Term):
     base: Term
     start: int = 0
 
+    def __new__(cls, base, start=0):
+        return _intern(cls, (cls, id(base), start), (base, start))
 
-@dataclass(frozen=True)
+
+@_node
 class SeqSumStar(Term):
     """Sum over n in w* of limit[n] (canonical fundamental sequence),
     descending; limit[0] is the rightmost block."""
 
     limit: Ordinal
 
+    def __new__(cls, limit):
+        return _intern(cls, (cls, limit), (limit,))
+
     def __post_init__(self):
         if not self.limit.is_limit():
             raise ValueError("SeqSumStar requires a limit ordinal")
 
 
-@dataclass(frozen=True)
+@_node
 class SeqSumRev(Term):
     """The reverse of SeqSumStar(limit): the w-indexed ascending sum of
     the reversed fundamental-sequence blocks."""
 
     limit: Ordinal
+
+    def __new__(cls, limit):
+        return _intern(cls, (cls, limit), (limit,))
 
     def __post_init__(self):
         if not self.limit.is_limit():
@@ -389,13 +507,13 @@ def _reverse_normal(t: Term) -> Term:
     if isinstance(t, (Zeta, Eta, Lambda)):
         return t
     if isinstance(t, Sum):
-        return _norm_sum([_reverse_normal(p) for p in reversed(t.parts)])
+        return _norm_sum([_reverse(p) for p in reversed(t.parts)])
     if isinstance(t, Prod):
-        return _norm_prod(_reverse_normal(t.inner), _reverse_normal(t.index))
+        return _norm_prod(_reverse(t.inner), _reverse(t.index))
     if isinstance(t, GeomOmega):
-        return _norm_geom(_reverse_normal(t.base), t.start, star=True)
+        return _norm_geom(_reverse(t.base), t.start, star=True)
     if isinstance(t, GeomOmegaStar):
-        return _norm_geom(_reverse_normal(t.base), t.start, star=False)
+        return _norm_geom(_reverse(t.base), t.start, star=False)
     if isinstance(t, SeqSumStar):
         return _norm_seqsum(t.limit, reverse=True)
     if isinstance(t, SeqSumRev):
@@ -403,10 +521,10 @@ def _reverse_normal(t: Term) -> Term:
     raise TypeError(f"cannot reverse {t!r}")
 
 
-def normalize(t: Term) -> Term:
-    """Canonical normal form; idempotent."""
+def _normalize(t: Term) -> Term:
+    """One step of the normalizer, on the normal forms of t's parts."""
     if isinstance(t, Rev):
-        return _reverse_normal(normalize(t.arg))
+        return reverse_term(t.arg)
     if isinstance(t, Sum):
         return _norm_sum([normalize(p) for p in t.parts])
     if isinstance(t, Prod):
@@ -422,9 +540,40 @@ def normalize(t: Term) -> Term:
     return t
 
 
+def normalize(t: Term) -> Term:
+    """Canonical normal form; idempotent.  Kept on the node (``_nf``),
+    and a normal form is marked as its own (``_nf`` is True)."""
+    n = t._nf
+    if n is None:
+        n = _normalize(t)
+        if n._nf is None:
+            set_derived(n, "_nf", True)
+        if n is not t:
+            set_derived(t, "_nf", n)
+        return n
+    return t if n is True else n
+
+
 def reverse_term(t: Term) -> Term:
     """Normalized reverse of t."""
-    return normalize(Rev(t))
+    return _reverse(normalize(t))
+
+
+def _reverse(n: Term) -> Term:
+    """Reverse of the normal form n, kept on n (``_rev``).  The reverse
+    links back to n weakly, as a strong link both ways would make a
+    reference cycle; so does a node that is its own reverse."""
+    r = n._rev
+    if r.__class__ is weakref.ref:
+        r = r()
+    if r is None:
+        r = _reverse_normal(n)
+        if r._nf is None:
+            set_derived(r, "_nf", True)
+        set_derived(n, "_rev", weakref.ref(n) if r is n else r)
+        if r is not n and not isinstance(r._rev, Term):
+            set_derived(r, "_rev", weakref.ref(n))
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +719,7 @@ class _Parser:
                 v = pure_ordinal(normalize(e))
                 if v is None:
                     raise ParseError("exponent must be a pure ordinal", self.pos)
-                return OrdLeaf(OMEGA**v)
+                return OrdLeaf(Ordinal(((v, 1),)))
             return OMEGA_T
         if self.match_word("z"):
             return ZETA

@@ -1,0 +1,239 @@
+"""Interned terms: one node per term, its hash and derived data on it."""
+
+import gc
+import json
+import os
+import random
+import signal
+import subprocess
+import threading
+import sys
+import time
+import weakref
+from dataclasses import fields
+from pathlib import Path
+
+import ordtypes
+from ordtypes import analysis, engine, terms
+from ordtypes.engine import Engine
+from ordtypes.ordinals import Ordinal
+from ordtypes.terms import normalize, parse_normalized, parse_term, print_term
+
+from helpers import REGRESSION_CORPUS, rand_term
+
+
+def _random_texts(seed, n, depth=2):
+    rng = random.Random(seed)
+    return [print_term(normalize(rand_term(rng, depth))) for _ in range(n)]
+
+
+def _subterms(t):
+    yield t
+    for f in fields(t):
+        v = getattr(t, f.name)
+        for x in (v if isinstance(v, tuple) else (v,)):
+            if isinstance(x, terms.Term):
+                yield from _subterms(x)
+
+
+def _live_nodes():
+    return [n for n in (r() for r in terms._TABLE.values()) if n is not None]
+
+
+def test_equal_terms_are_one_node():
+    for text in REGRESSION_CORPUS + tuple(_random_texts(5, 200)):
+        assert parse_normalized(text) is parse_normalized(text), text
+        assert parse_term(text) is parse_term(text), text
+    assert terms.GeomOmega(terms.OMEGA_T) is terms.GeomOmega(terms.OMEGA_T, 0)
+
+
+def test_hash_is_the_hash_of_the_fields():
+    for text in REGRESSION_CORPUS + tuple(_random_texts(6, 200)):
+        for t in _subterms(parse_term(text)):
+            assert hash(t) == hash(tuple(getattr(t, f.name) for f in fields(t)))
+            for f in fields(t):
+                v = getattr(t, f.name)
+                if isinstance(v, Ordinal):
+                    assert hash(v) == hash(v.terms)
+
+
+def test_stored_data_is_what_a_fresh_computation_gives():
+    # search corpus and random terms, then recompute one step of every
+    # node's stored data from its children's: a normal form is a fixed
+    # point of the normalizer, reversal links both ways, and the stored
+    # facts, pieces and cuts are the computed ones
+    texts = list(REGRESSION_CORPUS) + _random_texts(8, 40)
+    keep = [parse_normalized(x) for x in texts]
+    for k in range(0, len(keep), 4):
+        eng = Engine(depth=3)
+        for s in keep[k:k + 4]:
+            eng.classify_type(s)
+            for t in keep[k:k + 4]:
+                eng.embeds(s, t)
+    seen = dict.fromkeys(("nf", "rev", "facts", "pieces", "cuts"), 0)
+    for n in _live_nodes():
+        if n._nf is True:
+            seen["nf"] += 1
+            assert terms._normalize(n) is n, print_term(n)
+        rev = n._rev() if isinstance(n._rev, weakref.ref) else n._rev
+        if rev is not None:
+            seen["rev"] += 1
+            assert terms._reverse_normal(n) is rev, print_term(n)
+            assert terms._reverse_normal(rev) is n, print_term(n)
+        if n._facts is not None:
+            seen["facts"] += 1
+            assert analysis._facts(n) == n._facts
+        if n._pieces is not None:
+            seen["pieces"] += 1
+            assert engine._pieces(n) == n._pieces
+        for deep, cuts in ((True, n._cuts), (False, n._shallow_cuts)):
+            if cuts is not None:
+                seen["cuts"] += 1
+                assert tuple(engine._cuts(n, deep)) == cuts
+    assert all(seen.values()), seen
+
+
+def test_unreferenced_term_is_freed():
+    t = parse_normalized("w^(4321)*q + z + geomrev(w^(55)~)")
+    ref = weakref.ref(t)
+    assert Engine().embeds(t, parse_normalized("q")).decided
+    assert analysis.facts(t).countable
+    del t
+    gc.collect()
+    assert ref() is None
+
+
+def test_an_engine_is_freed_without_the_cycle_collector():
+    # an engine that nothing refers to is freed at once, with its memo
+    # and the terms it holds, not at some later full collection
+    s, t = parse_normalized("w + z + 1"), parse_normalized("w + 1 + z + q")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        eng = Engine()
+        eng._rule_r_sum_dp(s, t, 3)
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_parse_builds_powers_of_omega_directly():
+    start = time.perf_counter()
+    t = parse_normalized("w^(99999999999999999999)")
+    assert time.perf_counter() - start < 1.0
+    assert t.value == Ordinal(((Ordinal.from_int(99999999999999999999), 1),))
+    assert parse_normalized("w^(0)") == terms.ONE_T
+    assert parse_normalized("w^(w + 2)").value == terms.OMEGA_T.value ** Ordinal(
+        ((Ordinal.from_int(1), 1), (Ordinal(), 2)))
+
+
+class _Cap(BaseException):
+    pass
+
+
+def test_a_timer_exception_always_comes_out_of_the_call():
+    # a signal handler's exception raised inside a constructor, a sweep
+    # of the intern table or a derived-data computation must reach the
+    # caller, not be swallowed as an unraisable exception
+    unraisable, state = [], {"armed": False, "fired": 0}
+
+    def fire(signum, frame):
+        if state["armed"]:
+            state["armed"] = False
+            state["fired"] += 1
+            raise _Cap()
+
+    texts = _random_texts(7, 24)
+    # the garbage collector's callbacks run Python code too, and a test
+    # library may have installed one: set them aside, as the program
+    # installs none
+    callbacks, gc.callbacks[:] = gc.callbacks[:], []
+    old_handler = signal.signal(signal.SIGALRM, fire)
+    old_hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+    caught = 0
+    try:
+        for k in range(0, len(texts), 4):
+            group = [parse_normalized(x) for x in texts[k:k + 4]]
+            for s in group:
+                for t in group:
+                    try:
+                        try:
+                            state["armed"] = True
+                            signal.setitimer(signal.ITIMER_REAL, 0.001)
+                            Engine().embeds(s, t)
+                        finally:
+                            state["armed"] = False
+                            signal.setitimer(signal.ITIMER_REAL, 0)
+                    except _Cap:
+                        caught += 1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old_handler)
+        sys.unraisablehook = old_hook
+        gc.callbacks[:] = callbacks
+    assert state["fired"] > 0
+    assert caught == state["fired"], unraisable
+    assert unraisable == []
+    for text in texts:
+        assert parse_normalized(text) is parse_normalized(text)
+
+
+_CORPUS_RUN = """
+import json, sys
+from ordtypes.engine import Engine, PROFILE_FIELDS
+from ordtypes.terms import parse_normalized
+texts = json.loads(sys.argv[1])
+eng = Engine()
+ts = [parse_normalized(x) for x in texts]
+out = {"hashes": [hash(t) for t in ts], "embeds": [], "profiles": []}
+for s in ts:
+    for t in ts:
+        v = eng.embeds(s, t)
+        out["embeds"].append([v.answer, v.certificate])
+for t in ts:
+    p = eng.classify_type(t)
+    out["profiles"].append([[getattr(p, f).answer, getattr(p, f).certificate]
+                            for f in PROFILE_FIELDS])
+out["stats"] = eng.search_stats()
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_answers_do_not_depend_on_the_hash_seed():
+    src = str(Path(ordtypes.__file__).resolve().parent.parent)
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _CORPUS_RUN, json.dumps(REGRESSION_CORPUS)],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["hashes"] == [
+        hash(parse_normalized(x)) for x in REGRESSION_CORPUS]
+
+
+def test_threads_making_the_same_terms_get_one_node():
+    texts = [f"w^({k + 1000})*{k + 2} + z + geom(w^({k + 1}))" for k in range(300)]
+    results = []
+
+    def work():
+        results.append([parse_normalized(x) for x in texts])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(results) == len(workers)
+    for nodes in results[1:]:
+        assert all(a is b for a, b in zip(results[0], nodes))

@@ -19,6 +19,8 @@ from ordtypes.terms import (
     RevOrd,
     SeqSumStar,
     Sum,
+    _normalize,
+    _reverse_normal,
     co_ordinal,
     fin,
     normalize,
@@ -87,10 +89,13 @@ def test_print_parse_round_trip_random():
 
 
 def test_normalize_idempotent_random():
+    # normalize returns the normal form kept on the node, so check the
+    # normalizer itself: one step of it fixes the normal form
     rng = random.Random(4)
     for _ in range(300):
         t = normalize(rand_term(rng, 3))
         assert normalize(t) == t
+        assert _normalize(t) is t
 
 
 def test_normalize_frozen_laws():
@@ -109,6 +114,7 @@ def test_reverse_involution():
     for _ in range(300):
         t = normalize(rand_term(rng, 3))
         assert normalize(reverse_term(reverse_term(t))) == t
+        assert _reverse_normal(reverse_term(t)) is t
 
 
 def test_reverse_frozen():
