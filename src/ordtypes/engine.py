@@ -32,8 +32,7 @@ from math import inf
 from typing import Dict, List, Optional, Tuple
 
 from .analysis import facts
-from .ordinals import OMEGA, ONE, ZERO, Ordinal, classify_ordinal
-from .points import power_term, total_count
+from .ordinals import OMEGA, ONE, ZERO, CapacityError, Ordinal, classify_ordinal
 from .terms import (
     Eta,
     GeomOmega,
@@ -61,6 +60,7 @@ from .terms import (
     rev_ordinal_term,
     reverse_term,
     set_derived,
+    total_count,
 )
 
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
@@ -123,8 +123,23 @@ def _sumify(parts) -> Term:
     return normalize(Sum(tuple(parts)))
 
 
+#: The highest power of a base that ``_npow`` builds.
+MAX_POWER = 1024
+
+
 def _npow(base: Term, n: int) -> Term:
-    return normalize(power_term(base, n))
+    """base^n in normal form.  The powers (1, base, base^2, ...) are kept
+    on the base node (``_powers``); each new one is one step of the
+    normalizer on the one before, a CNF product for an ordinal or
+    reversed-ordinal base.  The tuple is replaced, never changed, so a
+    thread that races to extend it builds the same interned nodes."""
+    if n > MAX_POWER:
+        raise CapacityError(f"power {n} exceeds cap {MAX_POWER}")
+    powers = base._powers or (ONE_T,)
+    while len(powers) <= n:
+        powers = (*powers, normalize(Prod(powers[-1], base)))
+        set_derived(base, "_powers", powers)
+    return powers[n]
 
 
 def term_cuts(t: Term, deep: bool = True) -> Tuple[Tuple[Term, Term], ...]:
@@ -1531,11 +1546,14 @@ def replay_certificate(node: dict) -> bool:
 
     Replay trusts the term layer: ``parse_normalized``, ``normalize``,
     ``print_term``, ``term_cuts``, ``term_pieces``, ``facts``,
-    ``total_count`` and CNF ordinal arithmetic.  Terms are interned, so
-    it trusts the intern table to give equal terms one node, and it
-    trusts the data kept on a node as computed once: its normal form and
-    reverse, its facts, and its pieces and cuts (deep and shallow), which
-    the search may have computed before the replay.  It trusts each rule:
+    ``total_count`` and CNF ordinal arithmetic; it uses nothing of the
+    point layer (``points``).  Terms are interned, so it trusts the
+    intern table to give equal terms one node, and it trusts the data
+    kept on a node as computed once: its normal form and reverse, its
+    point count, its facts, its pieces and cuts (deep and shallow), and
+    the powers of a geometric base, each one normalizer step from the
+    one before (``_npow``), which the search may have computed before the
+    replay.  It trusts each rule:
     each side-condition rule's ``decide``, each recursive rule's search
     run for one step against the node's premises, the checks of
     ``CLASSIFIERS`` and ``VALIDATORS``, and ``IMPLICATIONS``.  It does not

@@ -33,6 +33,7 @@ from .terms import (
     GeomOmega,
     GeomOmegaStar,
     Lambda,
+    MalformedPoint,
     OrdLeaf,
     Prod,
     RevOrd,
@@ -41,11 +42,8 @@ from .terms import (
     Sum,
     Term,
     Zeta,
+    total_count,
 )
-
-
-class MalformedPoint(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -183,32 +181,6 @@ def compare_points(t: Term, p, q) -> int:
 
 # ---------------------------------------------------------------------------
 # counting
-
-
-def total_count(t: Term):
-    """Number of points of t (int or inf)."""
-    if isinstance(t, OrdLeaf):
-        return t.value.as_int() if t.value.is_finite() else inf
-    if isinstance(t, (RevOrd, Zeta, Eta, Lambda)):
-        return inf
-    if isinstance(t, Sum):
-        total = 0
-        for part in t.parts:
-            c = total_count(part)
-            if c == inf:
-                return inf
-            total += c
-        return total
-    if isinstance(t, Prod):
-        a, b = total_count(t.inner), total_count(t.index)
-        if a == 0 or b == 0:
-            return 0
-        return inf if a == inf or b == inf else a * b
-    # normalized geometric / sequence nodes always have infinitely many
-    # nonempty blocks
-    if isinstance(t, (GeomOmega, GeomOmegaStar, SeqSumStar, SeqSumRev)):
-        return inf
-    raise MalformedPoint(f"no points for {t!r}")
 
 
 def _ord_final(a: Ordinal, p: Ordinal):

@@ -34,6 +34,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, fields
+from math import inf
 from typing import Optional, Tuple
 
 from .ordinals import (
@@ -46,7 +47,10 @@ from .ordinals import (
 
 
 # The slots of a node that hold its derived data, None until computed.
-_DERIVED = ("_nf", "_rev", "_facts", "_pieces", "_cuts", "_shallow_cuts")
+_DERIVED = (
+    "_nf", "_rev", "_count", "_facts", "_pieces", "_cuts", "_shallow_cuts",
+    "_powers",
+)
 
 
 class Term:
@@ -58,8 +62,10 @@ class Term:
     once (hash-consing; Filliatre & Conchon, "Type-safe modular
     hash-consing", ML Workshop 2006).  The data derived from a node is
     kept in its slots, computed on first use, and dies with it: its
-    normal form and reverse (here), its facts (``analysis.facts``) and
-    its pieces and cuts (``engine.term_pieces``, ``engine.term_cuts``).
+    normal form, reverse and point count (here), its facts
+    (``analysis.facts``), its pieces and cuts (``engine.term_pieces``,
+    ``engine.term_cuts``) and, for the base of a geometric sum, its
+    powers in normal form (``engine._npow``).
     """
 
     __slots__ = ("_hash", *_DERIVED, "__weakref__")
@@ -310,12 +316,58 @@ def co_ordinal(t: Term) -> Optional[Ordinal]:
             total = total + v
         return total
     if isinstance(t, Prod):
-        a = co_ordinal(t.inner)
+        # the index first: a power's index is its base, so a chain of
+        # powers of a base that is no reversed ordinal fails at once
         b = co_ordinal(t.index)
-        if a is None or b is None:
+        if b is None:
             return None
-        return a * b
+        a = co_ordinal(t.inner)
+        return None if a is None else a * b
     return None
+
+
+# ---------------------------------------------------------------------------
+# point count
+
+
+class MalformedPoint(ValueError):
+    """A point, or a count of points, asked of a term that has none."""
+
+
+def total_count(t: Term):
+    """Number of points of t (int or inf).  Kept on the node
+    (``_count``)."""
+    c = t._count
+    if c is None:
+        c = _point_count(t)
+        set_derived(t, "_count", c)
+    return c
+
+
+def _point_count(t: Term):
+    """One step of the count, on the stored counts of t's parts."""
+    if isinstance(t, OrdLeaf):
+        return t.value.as_int() if t.value.is_finite() else inf
+    if isinstance(t, (RevOrd, Zeta, Eta, Lambda)):
+        return inf
+    if isinstance(t, Sum):
+        total = 0
+        for part in t.parts:
+            c = total_count(part)
+            if c == inf:
+                return inf
+            total += c
+        return total
+    if isinstance(t, Prod):
+        a, b = total_count(t.inner), total_count(t.index)
+        if a == 0 or b == 0:
+            return 0
+        return inf if a == inf or b == inf else a * b
+    # normalized geometric / sequence nodes always have infinitely many
+    # nonempty blocks
+    if isinstance(t, (GeomOmega, GeomOmegaStar, SeqSumStar, SeqSumRev)):
+        return inf
+    raise MalformedPoint(f"no points for {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +683,15 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+#: The deepest nesting of brackets the parser accepts.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # brackets open at pos
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -648,6 +705,16 @@ class _Parser:
         if self.peek() != ch:
             raise ParseError(f"expected {ch!r}", self.pos)
         self.pos += 1
+
+    def open_bracket(self):
+        self.expect("(")
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"brackets nested deeper than {MAX_NESTING}", self.pos)
+        self.depth += 1
+
+    def close_bracket(self):
+        self.expect(")")
+        self.depth -= 1
 
     def match_word(self, word: str) -> bool:
         self.skip_ws()
@@ -694,18 +761,18 @@ class _Parser:
         if c.isdigit():
             return fin(self.parse_nat())
         if c == "(":
-            self.pos += 1
+            self.open_bracket()
             t = self.parse_expr()
-            self.expect(")")
+            self.close_bracket()
             return t
         if self.match_word("geomrev"):
             return self._parse_geom(star=True)
         if self.match_word("geom"):
             return self._parse_geom(star=False)
         if self.match_word("revsum"):
-            self.expect("(")
+            self.open_bracket()
             t = self.parse_expr()
-            self.expect(")")
+            self.close_bracket()
             v = pure_ordinal(normalize(t))
             if v is None or not v.is_limit():
                 raise ParseError("revsum requires a limit ordinal argument", self.pos)
@@ -713,9 +780,9 @@ class _Parser:
         if self.match_word("w"):
             if self.peek() == "^":
                 self.pos += 1
-                self.expect("(")
+                self.open_bracket()
                 e = self.parse_expr()
-                self.expect(")")
+                self.close_bracket()
                 v = pure_ordinal(normalize(e))
                 if v is None:
                     raise ParseError("exponent must be a pure ordinal", self.pos)
@@ -730,13 +797,13 @@ class _Parser:
         raise ParseError("expected a term", self.pos)
 
     def _parse_geom(self, star: bool) -> Term:
-        self.expect("(")
+        self.open_bracket()
         t = self.parse_expr()
         start = 0
         if self.peek() == ",":
             self.pos += 1
             start = self.parse_nat()
-        self.expect(")")
+        self.close_bracket()
         return GeomOmegaStar(t, start) if star else GeomOmega(t, start)
 
 

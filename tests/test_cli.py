@@ -167,3 +167,21 @@ def test_capacity_error_exit_1():
     nested = "w^(" * 33 + "1" + ")" * 33
     code, _, err = run(["type", "embeds", nested, "w"])
     assert code == 1 and "error:" in err
+
+
+def test_deep_brackets_are_a_parse_error():
+    # the parser bounds bracket nesting: deeper input is a parse error
+    # (exit 1), never a RecursionError out of the call
+    deep = "(" * 3000 + "1" + ")" * 3000
+    code, _, err = run(["type", "classify", deep])
+    assert code == 1 and "nested deeper" in err
+    code, out, _ = run(["ord", "cnf", "(" * 100 + "1" + ")" * 100])
+    assert code == 0 and out.strip() == "1"
+
+
+def test_geometric_sums_from_a_high_power_answer():
+    # the pieces of these sums start at w^500 and w^500~, each power one
+    # CNF step from the one before
+    for t in ("geomrev(w, 500)", "geom(w~, 500)"):
+        code, out, err = run(["type", "embeds", "w", t])
+        assert (code, out.strip(), err) == (0, "YES", ""), t

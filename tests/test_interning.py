@@ -1,5 +1,6 @@
 """Interned terms: one node per term, its hash and derived data on it."""
 
+import ast
 import gc
 import json
 import os
@@ -13,10 +14,13 @@ import weakref
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import ordtypes
 from ordtypes import analysis, engine, terms
 from ordtypes.engine import Engine
-from ordtypes.ordinals import Ordinal
+from ordtypes.ordinals import CapacityError, Ordinal
+from ordtypes.points import power_term
 from ordtypes.terms import normalize, parse_normalized, parse_term, print_term
 
 from helpers import REGRESSION_CORPUS, rand_term
@@ -40,6 +44,17 @@ def _live_nodes():
     return [n for n in (r() for r in terms._TABLE.values()) if n is not None]
 
 
+def _unfolded_powers(base, n):
+    """normalize(power_term(base, k)) for k < n.  Each chain is built as
+    ``power_term`` builds it, ``Prod(chain, base)``, and the chains are
+    normalized in ascending k while held, so each is one step on the
+    stored normal form of the one before, not a recursion k deep."""
+    chains = [power_term(base, k) for k in range(min(n, 2))]
+    while len(chains) < n:
+        chains.append(terms.Prod(chains[-1], base))
+    return tuple(normalize(c) for c in chains)
+
+
 def test_equal_terms_are_one_node():
     for text in REGRESSION_CORPUS + tuple(_random_texts(5, 200)):
         assert parse_normalized(text) is parse_normalized(text), text
@@ -60,8 +75,9 @@ def test_hash_is_the_hash_of_the_fields():
 def test_stored_data_is_what_a_fresh_computation_gives():
     # search corpus and random terms, then recompute one step of every
     # node's stored data from its children's: a normal form is a fixed
-    # point of the normalizer, reversal links both ways, and the stored
-    # facts, pieces and cuts are the computed ones
+    # point of the normalizer, reversal links both ways, the stored
+    # count, facts, pieces and cuts are the computed ones, and each
+    # stored power is the normal form of the unfolded product
     texts = list(REGRESSION_CORPUS) + _random_texts(8, 40)
     keep = [parse_normalized(x) for x in texts]
     for k in range(0, len(keep), 4):
@@ -70,7 +86,8 @@ def test_stored_data_is_what_a_fresh_computation_gives():
             eng.classify_type(s)
             for t in keep[k:k + 4]:
                 eng.embeds(s, t)
-    seen = dict.fromkeys(("nf", "rev", "facts", "pieces", "cuts"), 0)
+    seen = dict.fromkeys(
+        ("nf", "rev", "count", "facts", "pieces", "cuts", "powers"), 0)
     for n in _live_nodes():
         if n._nf is True:
             seen["nf"] += 1
@@ -80,6 +97,9 @@ def test_stored_data_is_what_a_fresh_computation_gives():
             seen["rev"] += 1
             assert terms._reverse_normal(n) is rev, print_term(n)
             assert terms._reverse_normal(rev) is n, print_term(n)
+        if n._count is not None:
+            seen["count"] += 1
+            assert terms._point_count(n) == n._count, print_term(n)
         if n._facts is not None:
             seen["facts"] += 1
             assert analysis._facts(n) == n._facts
@@ -90,6 +110,9 @@ def test_stored_data_is_what_a_fresh_computation_gives():
             if cuts is not None:
                 seen["cuts"] += 1
                 assert tuple(engine._cuts(n, deep)) == cuts
+        if n._powers is not None:
+            seen["powers"] += 1
+            assert n._powers == _unfolded_powers(n, len(n._powers))
     assert all(seen.values()), seen
 
 
@@ -218,10 +241,13 @@ def test_answers_do_not_depend_on_the_hash_seed():
 
 def test_threads_making_the_same_terms_get_one_node():
     texts = [f"w^({k + 1000})*{k + 2} + z + geom(w^({k + 1}))" for k in range(300)]
-    results = []
+    geometric = ["geomrev(w)", "geom(w~)"] + [
+        f"geomrev(w^({k + 2000}), {k % 5})" for k in range(40)]
+    results, pieces = [], []
 
     def work():
         results.append([parse_normalized(x) for x in texts])
+        pieces.append([engine.term_pieces(parse_normalized(x)) for x in geometric])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -237,3 +263,32 @@ def test_threads_making_the_same_terms_get_one_node():
     assert len(results) == len(workers)
     for nodes in results[1:]:
         assert all(a is b for a, b in zip(results[0], nodes))
+    assert len(pieces) == len(workers)
+    for got in pieces[1:]:
+        assert all(a is b for ps, qs in zip(pieces[0], got) for a, b in zip(ps, qs))
+    for text, ps in zip(geometric, pieces[0]):
+        t = parse_normalized(text)
+        assert ps == engine._pieces(t), text
+        base = t.base
+        assert base._powers == _unfolded_powers(base, len(base._powers))
+
+
+def test_a_power_above_the_cap_raises_before_anything_is_built():
+    base = parse_normalized("w^(4321) + z")
+    with pytest.raises(CapacityError):
+        engine._npow(base, engine.MAX_POWER + 1)
+    assert base._powers is None
+    base = parse_normalized("w^(7)")
+    top = engine._npow(base, engine.MAX_POWER)
+    assert top.value == Ordinal(((Ordinal.from_int(7 * engine.MAX_POWER), 1),))
+
+
+def test_the_engine_does_not_import_the_point_layer():
+    tree = ast.parse(Path(engine.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not imported & {"points", "ordtypes.points"}, imported
