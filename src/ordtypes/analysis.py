@@ -1,7 +1,8 @@
 """Structural facts about normalized terms.
 
-Each fact is computed by a recursion over the term tree and is exact
-for the term language of this package:
+The facts of a node are computed once, in one step from the facts
+stored on its children (``facts``), and are exact for the term language
+of this package:
 
 - ``well_ordered`` / ``rev_well_ordered``: no infinite descending
   (resp. ascending) sequence.  An infinite order embeds omega iff it is
@@ -9,6 +10,7 @@ for the term language of this package:
 - ``final_segments_wo``: every final segment cut at a point is
   well-ordered (and dually ``initial_segments_rwo``).  These drive the
   "strictly right / strictly left" embedding arguments.
+- ``left_end`` / ``right_end``: a least (resp. greatest) point.
 - ``scattered``: no densely ordered subset; for this term language that
   is exactly the absence of the dense leaves.
 - countable orders are unions of countably many singletons, so
@@ -18,11 +20,10 @@ for the term language of this package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from math import inf
+from typing import NamedTuple, Optional
 
-from .ordinals import OMEGA, Ordinal
-from .points import first_point, last_point, total_count
+from .ordinals import OMEGA, Ordinal, fundamental_sequence
 from .terms import (
     Eta,
     GeomOmega,
@@ -37,11 +38,11 @@ from .terms import (
     Term,
     Zeta,
     set_derived,
+    total_count,
 )
 
 
-@dataclass(frozen=True)
-class Facts:
+class Facts(NamedTuple):
     nonempty: bool
     size: Optional[int]  # None when infinite
     countable: bool
@@ -72,98 +73,6 @@ class Facts:
         return "countably-infinite" if self.countable else "continuum"
 
 
-def _wo(t: Term) -> bool:
-    if isinstance(t, OrdLeaf):
-        return True
-    if isinstance(t, (RevOrd, Zeta, Eta, Lambda)):
-        return False
-    if isinstance(t, Sum):
-        return all(_wo(p) for p in t.parts)
-    if isinstance(t, Prod):
-        return _wo(t.inner) and _wo(t.index)
-    if isinstance(t, GeomOmega):
-        return _wo(t.base)
-    # the remaining nodes all have infinitely many nonempty blocks
-    # arranged so that a descending sequence can be picked across them
-    return False
-
-
-def _rwo(t: Term) -> bool:
-    if isinstance(t, OrdLeaf):
-        return t.value.is_finite()
-    if isinstance(t, RevOrd):
-        return True
-    if isinstance(t, (Zeta, Eta, Lambda)):
-        return False
-    if isinstance(t, Sum):
-        return all(_rwo(p) for p in t.parts)
-    if isinstance(t, Prod):
-        return _rwo(t.inner) and _rwo(t.index)
-    if isinstance(t, GeomOmegaStar):
-        return _rwo(t.base)
-    return False
-
-
-def _fsw(t: Term) -> bool:
-    """Every final segment cut at a point is well-ordered."""
-    if isinstance(t, OrdLeaf):
-        return True
-    if isinstance(t, RevOrd):
-        # points are ordinals below the power; the final segment at p is
-        # the reversed initial segment, finite exactly when p is finite
-        return t.power == OMEGA
-    if isinstance(t, Zeta):
-        return True
-    if isinstance(t, (Eta, Lambda)):
-        return False
-    if isinstance(t, Sum):
-        return _fsw(t.parts[0]) and all(_wo(p) for p in t.parts[1:])
-    if isinstance(t, Prod):
-        return _fsw(t.inner) and _wo(t.inner) and _fsw(t.index)
-    if isinstance(t, (GeomOmega, GeomOmegaStar)):
-        return _wo(t.base) and _fsw(t.base)
-    if isinstance(t, SeqSumStar):
-        return True  # a final segment meets only finitely many ordinal blocks
-    if isinstance(t, SeqSumRev):
-        return False
-    raise TypeError(f"unexpected term {t!r}")
-
-
-def _isw(t: Term) -> bool:
-    """Every initial segment cut at a point is reverse-well-ordered."""
-    if isinstance(t, OrdLeaf):
-        # initial segments are the smaller ordinals, reverse-well-ordered
-        # exactly when the cut point is finite
-        return t.value <= OMEGA
-    if isinstance(t, (RevOrd, Zeta)):
-        return True
-    if isinstance(t, (Eta, Lambda)):
-        return False
-    if isinstance(t, Sum):
-        return _isw(t.parts[-1]) and all(_rwo(p) for p in t.parts[:-1])
-    if isinstance(t, Prod):
-        return _isw(t.inner) and _rwo(t.inner) and _isw(t.index)
-    if isinstance(t, (GeomOmega, GeomOmegaStar)):
-        return _rwo(t.base) and _isw(t.base)
-    if isinstance(t, SeqSumStar):
-        return False
-    if isinstance(t, SeqSumRev):
-        return True
-    raise TypeError(f"unexpected term {t!r}")
-
-
-def _leaf_free(t: Term, kinds) -> bool:
-    if isinstance(t, kinds):
-        return False
-    if isinstance(t, Sum):
-        return all(_leaf_free(p, kinds) for p in t.parts)
-    if isinstance(t, Prod):
-        return _leaf_free(t.inner, kinds) and _leaf_free(t.index, kinds)
-    if isinstance(t, (GeomOmega, GeomOmegaStar)):
-        return _leaf_free(t.base, kinds)
-    return True
-
-
 def facts(t: Term) -> Facts:
     """The structural facts of a normalized term, kept on the node."""
     f = t._facts
@@ -174,19 +83,96 @@ def facts(t: Term) -> Facts:
 
 
 def _facts(t: Term) -> Facts:
+    """One step of the facts, on the stored facts of t's children."""
     n = total_count(t)
-    return Facts(
-        nonempty=n != 0,
-        size=None if n == float("inf") else int(n),
-        countable=_leaf_free(t, Lambda),
-        scattered=_leaf_free(t, (Eta, Lambda)),
-        left_end=first_point(t) is not None,
-        right_end=last_point(t) is not None,
-        well_ordered=_wo(t),
-        rev_well_ordered=_rwo(t),
-        final_segments_wo=_fsw(t),
-        initial_segments_rwo=_isw(t),
-    )
+    return Facts(n != 0, None if n == inf else int(n), *_order_facts(t))
+
+
+def _order_facts(t: Term):
+    """The fields of ``Facts`` after ``size``, in order: countable,
+    scattered, left_end, right_end, well_ordered, rev_well_ordered,
+    final_segments_wo, initial_segments_rwo."""
+    if isinstance(t, Sum):
+        fs = [facts(p) for p in t.parts]
+        first, last = fs[0], fs[-1]
+        return (
+            all(f.countable for f in fs),
+            all(f.scattered for f in fs),
+            first.left_end,
+            last.right_end,
+            all(f.well_ordered for f in fs),
+            all(f.rev_well_ordered for f in fs),
+            first.final_segments_wo and all(f.well_ordered for f in fs[1:]),
+            last.initial_segments_rwo
+            and all(f.rev_well_ordered for f in fs[:-1]),
+        )
+    if isinstance(t, Prod):
+        # copies of the inner order along the index; an end point is the
+        # inner end point in the index end point's copy
+        a, b = facts(t.inner), facts(t.index)
+        return (
+            a.countable and b.countable,
+            a.scattered and b.scattered,
+            a.left_end and b.left_end,
+            a.right_end and b.right_end,
+            a.well_ordered and b.well_ordered,
+            a.rev_well_ordered and b.rev_well_ordered,
+            a.final_segments_wo and a.well_ordered and b.final_segments_wo,
+            a.initial_segments_rwo and a.rev_well_ordered
+            and b.initial_segments_rwo,
+        )
+    if isinstance(t, (GeomOmega, GeomOmegaStar)):
+        # the blocks are the powers base^n, n >= start: geom's leftmost
+        # block is base^start and it has no rightmost, geomrev mirrors it,
+        # and base^n has an end on a side when n = 0 or the base has one
+        b = facts(t.base)
+        up = isinstance(t, GeomOmega)
+        return (
+            b.countable,
+            b.scattered,
+            up and (t.start == 0 or b.left_end),
+            not up and (t.start == 0 or b.right_end),
+            up and b.well_ordered,
+            not up and b.rev_well_ordered,
+            b.well_ordered and b.final_segments_wo,
+            b.rev_well_ordered and b.initial_segments_rwo,
+        )
+    if isinstance(t, OrdLeaf):
+        # initial segments are the smaller ordinals, reverse-well-ordered
+        # exactly when the cut point is finite
+        v = t.value
+        nonzero = not v.is_zero()
+        return (True, True, nonzero, nonzero and v.is_successor(), True,
+                v.is_finite(), True, v <= OMEGA)
+    if isinstance(t, RevOrd):
+        # points are ordinals below the power; the final segment at p is
+        # the reversed initial segment, finite exactly when p is finite
+        return (True, True, False, True, False, True, t.power == OMEGA, True)
+    if isinstance(t, Zeta):
+        return (True, True, False, False, False, False, True, True)
+    if isinstance(t, (Eta, Lambda)):
+        return (isinstance(t, Eta), False, False, False, False, False, False,
+                False)
+    if isinstance(t, (SeqSumStar, SeqSumRev)):
+        # w*-many ordinal blocks, the first one rightmost (its reverse for
+        # SeqSumRev): a final segment meets finitely many ordinal blocks,
+        # and the end on the first block's side is that block's greatest
+        # ordinal, if it has one
+        star = isinstance(t, SeqSumStar)
+        end = _first_block_has_greatest(t.limit)
+        return (True, True, not star and end, star and end, False, False,
+                star, not star)
+    raise TypeError(f"unexpected term {t!r}")
+
+
+def _first_block_has_greatest(limit: Ordinal) -> bool:
+    """Whether the first nonzero block among the first two of the
+    fundamental sequence of ``limit`` has a greatest element."""
+    for n in range(2):
+        blk = fundamental_sequence(limit, n)
+        if not blk.is_zero():
+            return blk.is_successor()
+    return False
 
 
 def structural_summary(t: Term) -> dict:

@@ -56,6 +56,7 @@ from .terms import (
     normalize,
     parse_normalized,
     print_term,
+    product_count,
     pure_ordinal,
     rev_ordinal_term,
     reverse_term,
@@ -123,6 +124,19 @@ def _sumify(parts) -> Term:
     return normalize(Sum(tuple(parts)))
 
 
+def _run(parts: Tuple[Term, ...]) -> Term:
+    """The sum of a run of consecutive parts of a normal-form Sum, in
+    normal form, with no normalizer step: ``_norm_sum`` folds only
+    adjacent parts, and no two adjacent parts of a normal form fold, so
+    no two of the run do."""
+    if len(parts) == 1:
+        return parts[0]
+    t = Sum(parts)
+    if t._nf is None:
+        set_derived(t, "_nf", True)
+    return t
+
+
 #: The highest power of a base that ``_npow`` builds.
 MAX_POWER = 1024
 
@@ -131,21 +145,29 @@ def _npow(base: Term, n: int) -> Term:
     """base^n in normal form.  The powers (1, base, base^2, ...) are kept
     on the base node (``_powers``); each new one is one step of the
     normalizer on the one before, a CNF product for an ordinal or
-    reversed-ordinal base.  The tuple is replaced, never changed, so a
-    thread that races to extend it builds the same interned nodes."""
+    reversed-ordinal base.  Its point count, the one before times the
+    base's, and its facts are derived as it is made, each one step from
+    the data of the one before, so neither walks down a chain of powers.
+    The tuple is replaced, never changed, so a thread that races to
+    extend it builds the same interned nodes."""
     if n > MAX_POWER:
         raise CapacityError(f"power {n} exceeds cap {MAX_POWER}")
     powers = base._powers or (ONE_T,)
     while len(powers) <= n:
-        powers = (*powers, normalize(Prod(powers[-1], base)))
+        power = normalize(Prod(powers[-1], base))
+        if power._count is None:
+            set_derived(power, "_count",
+                        product_count(total_count(powers[-1]), total_count(base)))
+        facts(power)
+        powers = (*powers, power)
         set_derived(base, "_powers", powers)
     return powers[n]
 
 
 def term_cuts(t: Term, deep: bool = True) -> Tuple[Tuple[Term, Term], ...]:
-    """Certified decompositions t = left + right with both parts
-    nonzero; shallow ones leave the parts of a sum or product whole.
-    Kept on the node."""
+    """Certified decompositions t = left + right of the normal form t,
+    with both parts nonzero; shallow ones leave the parts of a sum or
+    product whole.  Kept on the node."""
     out = t._cuts if deep else t._shallow_cuts
     if out is None:
         out = tuple(_cuts(t, deep))
@@ -189,7 +211,7 @@ def _cuts(t: Term, deep: bool) -> List[Tuple[Term, Term]]:
     elif isinstance(t, Sum):
         ps = t.parts
         for i in range(1, len(ps)):
-            out.append((_sumify(ps[:i]), _sumify(ps[i:])))
+            out.append((_run(ps[:i]), _run(ps[i:])))
         if deep:
             for i, p in enumerate(ps):
                 for l, r in term_cuts(p, deep=False):
@@ -216,7 +238,8 @@ def _cuts(t: Term, deep: bool) -> List[Tuple[Term, Term]]:
 
 
 def term_pieces(t: Term) -> Tuple[Term, ...]:
-    """Certified convex sub-orders t' with t' <= t.  Kept on the node."""
+    """Certified convex sub-orders t' with t' <= t of the normal form t.
+    Kept on the node."""
     out = t._pieces
     if out is None:
         out = _pieces(t)
@@ -231,7 +254,7 @@ def _pieces(t: Term) -> Tuple[Term, ...]:
         for i in range(len(ps)):
             for j in range(i + 1, len(ps) + 1):
                 if (i, j) != (0, len(ps)):
-                    out.append(_sumify(ps[i:j]))
+                    out.append(_run(ps[i:j]))
     elif isinstance(t, Prod):
         out.extend([t.inner, t.index])
         cnt = total_count(t.index)
@@ -1550,7 +1573,8 @@ def replay_certificate(node: dict) -> bool:
     point layer (``points``).  Terms are interned, so it trusts the
     intern table to give equal terms one node, and it trusts the data
     kept on a node as computed once: its normal form and reverse, its
-    point count, its facts, its pieces and cuts (deep and shallow), and
+    point count, its printed text, which a node's ``s`` and ``t`` are
+    compared by, its facts, its pieces and cuts (deep and shallow), and
     the powers of a geometric base, each one normalizer step from the
     one before (``_npow``), which the search may have computed before the
     replay.  It trusts each rule:

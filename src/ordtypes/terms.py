@@ -49,7 +49,7 @@ from .ordinals import (
 # The slots of a node that hold its derived data, None until computed.
 _DERIVED = (
     "_nf", "_rev", "_count", "_facts", "_pieces", "_cuts", "_shallow_cuts",
-    "_powers",
+    "_powers", "_text",
 )
 
 
@@ -62,7 +62,7 @@ class Term:
     once (hash-consing; Filliatre & Conchon, "Type-safe modular
     hash-consing", ML Workshop 2006).  The data derived from a node is
     kept in its slots, computed on first use, and dies with it: its
-    normal form, reverse and point count (here), its facts
+    normal form, reverse, point count and printed form (here), its facts
     (``analysis.facts``), its pieces and cuts (``engine.term_pieces``,
     ``engine.term_cuts``) and, for the base of a geometric sum, its
     powers in normal form (``engine._npow``).
@@ -344,6 +344,13 @@ def total_count(t: Term):
     return c
 
 
+def product_count(a, b):
+    """The point count of a product whose factors have a and b points."""
+    if a == 0 or b == 0:
+        return 0
+    return inf if a == inf or b == inf else a * b
+
+
 def _point_count(t: Term):
     """One step of the count, on the stored counts of t's parts."""
     if isinstance(t, OrdLeaf):
@@ -359,10 +366,7 @@ def _point_count(t: Term):
             total += c
         return total
     if isinstance(t, Prod):
-        a, b = total_count(t.inner), total_count(t.index)
-        if a == 0 or b == 0:
-            return 0
-        return inf if a == inf or b == inf else a * b
+        return product_count(total_count(t.inner), total_count(t.index))
     # normalized geometric / sequence nodes always have infinitely many
     # nonempty blocks
     if isinstance(t, (GeomOmega, GeomOmegaStar, SeqSumStar, SeqSumRev)):
@@ -634,43 +638,55 @@ def _reverse(n: Term) -> Term:
 
 def print_term(t: Term, level: int = 0) -> str:
     """Canonical text form.  level: 0 = sum context, 1 = product
-    context, 2 = unary/atom context."""
-    if isinstance(t, OrdLeaf):
-        s = str(t.value)
-        need = ("+" in s and level >= 1) or ("*" in s and level >= 2)
-        return f"({s})" if need else s
-    if isinstance(t, RevOrd):
-        p = t.power
-        if p == OMEGA:
-            return "w~"
-        if len(p.terms) == 1 and p.terms[0][1] == 1:
-            return f"w^({p.terms[0][0]})~"
-        raise AssertionError("RevOrd invariant violated")
-    if isinstance(t, Zeta):
-        return "z"
-    if isinstance(t, Eta):
-        return "q"
-    if isinstance(t, Lambda):
-        return "r"
-    if isinstance(t, Sum):
-        s = " + ".join(print_term(p, 1) for p in t.parts)
-        return f"({s})" if level >= 1 else s
-    if isinstance(t, Prod):
-        s = f"{print_term(t.inner, 2)}*{print_term(t.index, 2)}"
-        return f"({s})" if level >= 2 else s
-    if isinstance(t, Rev):
-        return f"{print_term(t.arg, 2)}~"
-    if isinstance(t, GeomOmega):
-        inner = print_term(t.base, 0)
-        return f"geom({inner}, {t.start})" if t.start else f"geom({inner})"
-    if isinstance(t, GeomOmegaStar):
-        inner = print_term(t.base, 0)
-        return f"geomrev({inner}, {t.start})" if t.start else f"geomrev({inner})"
-    if isinstance(t, SeqSumStar):
-        return f"revsum({t.limit})"
-    if isinstance(t, SeqSumRev):
-        return f"revsum({t.limit})~"
-    raise TypeError(f"cannot print {t!r}")
+    context, 2 = unary/atom context.  The level-0 text is rendered once,
+    from the children's stored texts, and kept on the node (``_text``);
+    a higher level adds the brackets the node's class needs there: a sum
+    at levels 1 and 2, a product at level 2, and an ordinal leaf by the
+    ``+`` or ``*`` in its text."""
+    s = t._text
+    if s is None:
+        # rendered here, not in a helper, so that a first render of a
+        # deep chain takes one stack frame per level
+        if isinstance(t, OrdLeaf):
+            s = str(t.value)
+        elif isinstance(t, RevOrd):
+            p = t.power
+            if p == OMEGA:
+                s = "w~"
+            elif len(p.terms) == 1 and p.terms[0][1] == 1:
+                s = f"w^({p.terms[0][0]})~"
+            else:
+                raise AssertionError("RevOrd invariant violated")
+        elif isinstance(t, Zeta):
+            s = "z"
+        elif isinstance(t, Eta):
+            s = "q"
+        elif isinstance(t, Lambda):
+            s = "r"
+        elif isinstance(t, Sum):
+            s = " + ".join([print_term(p, 1) for p in t.parts])
+        elif isinstance(t, Prod):
+            s = f"{print_term(t.inner, 2)}*{print_term(t.index, 2)}"
+        elif isinstance(t, Rev):
+            s = f"{print_term(t.arg, 2)}~"
+        elif isinstance(t, (GeomOmega, GeomOmegaStar)):
+            name = "geom" if isinstance(t, GeomOmega) else "geomrev"
+            inner = print_term(t.base)
+            s = f"{name}({inner}, {t.start})" if t.start else f"{name}({inner})"
+        elif isinstance(t, SeqSumStar):
+            s = f"revsum({t.limit})"
+        elif isinstance(t, SeqSumRev):
+            s = f"revsum({t.limit})~"
+        else:
+            raise TypeError(f"cannot print {t!r}")
+        set_derived(t, "_text", s)
+    if level and (
+        isinstance(t, Sum)
+        or (level >= 2 and isinstance(t, Prod))
+        or (isinstance(t, OrdLeaf) and ("+" in s or (level >= 2 and "*" in s)))
+    ):
+        return f"({s})"
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,12 @@ def test_deep_brackets_are_a_parse_error():
 
 
 def test_geometric_sums_from_a_high_power_answer():
-    # the pieces of these sums start at w^500 and w^500~, each power one
-    # CNF step from the one before
-    for t in ("geomrev(w, 500)", "geom(w~, 500)"):
+    # the pieces of these sums start at w^500, w^500~ and the 500-deep
+    # Prod chain z^500, each power one step from the one before, its
+    # count and facts too; a sum's end points are read off its base's
+    # facts, so none of these overflows the stack
+    for t in ("geomrev(w, 500)", "geom(w~, 500)", "geom(z, 500)",
+              "geomrev(z+1, 300)", "geomrev(w, 1020)"):
         code, out, err = run(["type", "embeds", "w", t])
         assert (code, out.strip(), err) == (0, "YES", ""), t
+

@@ -12,6 +12,7 @@ import sys
 import time
 import weakref
 from dataclasses import fields
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,11 @@ import ordtypes
 from ordtypes import analysis, engine, terms
 from ordtypes.engine import Engine
 from ordtypes.ordinals import CapacityError, Ordinal
-from ordtypes.points import power_term
-from ordtypes.terms import normalize, parse_normalized, parse_term, print_term
+from ordtypes.points import first_point, last_point, power_term
+from ordtypes.terms import (
+    Eta, GeomOmega, GeomOmegaStar, Lambda, OrdLeaf, Prod, Rev, RevOrd,
+    SeqSumRev, SeqSumStar, Sum, Zeta, normalize, parse_normalized, parse_term,
+    print_term)
 
 from helpers import REGRESSION_CORPUS, rand_term
 
@@ -40,7 +44,16 @@ def _subterms(t):
                 yield from _subterms(x)
 
 
+def _nesting(text):
+    depth = deepest = 0
+    for c in text:
+        depth += (c == "(") - (c == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
 def _live_nodes():
+    gc.collect()  # so that no node is kept only by garbage
     return [n for n in (r() for r in terms._TABLE.values()) if n is not None]
 
 
@@ -53,6 +66,129 @@ def _unfolded_powers(base, n):
     while len(chains) < n:
         chains.append(terms.Prod(chains[-1], base))
     return tuple(normalize(c) for c in chains)
+
+
+# Oracles for the data kept on a node, each a recursion over the whole
+# subtree that reads nothing stored on the nodes below.
+
+
+def _render(t, level=0):
+    if isinstance(t, OrdLeaf):
+        s = str(t.value)
+        need = ("+" in s and level >= 1) or ("*" in s and level >= 2)
+        return f"({s})" if need else s
+    if isinstance(t, RevOrd):
+        p = t.power
+        return "w~" if p == terms.OMEGA_T.value else f"w^({p.terms[0][0]})~"
+    if isinstance(t, (Zeta, Eta, Lambda)):
+        return {Zeta: "z", Eta: "q", Lambda: "r"}[type(t)]
+    if isinstance(t, Sum):
+        s = " + ".join(_render(p, 1) for p in t.parts)
+        return f"({s})" if level >= 1 else s
+    if isinstance(t, Prod):
+        s = f"{_render(t.inner, 2)}*{_render(t.index, 2)}"
+        return f"({s})" if level >= 2 else s
+    if isinstance(t, Rev):
+        return f"{_render(t.arg, 2)}~"
+    if isinstance(t, (GeomOmega, GeomOmegaStar)):
+        name = "geom" if isinstance(t, GeomOmega) else "geomrev"
+        start = f", {t.start}" if t.start else ""
+        return f"{name}({_render(t.base)}{start})"
+    return f"revsum({t.limit})" + ("~" if isinstance(t, SeqSumRev) else "")
+
+
+def _count(t):
+    if isinstance(t, OrdLeaf):
+        return t.value.as_int() if t.value.is_finite() else inf
+    if isinstance(t, Sum):
+        return sum(_count(p) for p in t.parts)
+    if isinstance(t, Prod):
+        a, b = _count(t.inner), _count(t.index)
+        return 0 if a == 0 or b == 0 else a * b
+    return inf
+
+
+def _wo(t):
+    if isinstance(t, OrdLeaf):
+        return True
+    if isinstance(t, Sum):
+        return all(_wo(p) for p in t.parts)
+    if isinstance(t, Prod):
+        return _wo(t.inner) and _wo(t.index)
+    if isinstance(t, GeomOmega):
+        return _wo(t.base)
+    return False
+
+
+def _rwo(t):
+    if isinstance(t, OrdLeaf):
+        return t.value.is_finite()
+    if isinstance(t, RevOrd):
+        return True
+    if isinstance(t, Sum):
+        return all(_rwo(p) for p in t.parts)
+    if isinstance(t, Prod):
+        return _rwo(t.inner) and _rwo(t.index)
+    if isinstance(t, GeomOmegaStar):
+        return _rwo(t.base)
+    return False
+
+
+def _fsw(t):
+    if isinstance(t, (OrdLeaf, Zeta, SeqSumStar)):
+        return True
+    if isinstance(t, RevOrd):
+        return t.power == terms.OMEGA_T.value
+    if isinstance(t, Sum):
+        return _fsw(t.parts[0]) and all(_wo(p) for p in t.parts[1:])
+    if isinstance(t, Prod):
+        return _fsw(t.inner) and _wo(t.inner) and _fsw(t.index)
+    if isinstance(t, (GeomOmega, GeomOmegaStar)):
+        return _wo(t.base) and _fsw(t.base)
+    return False
+
+
+def _isw(t):
+    if isinstance(t, OrdLeaf):
+        return t.value <= terms.OMEGA_T.value
+    if isinstance(t, (RevOrd, Zeta, SeqSumRev)):
+        return True
+    if isinstance(t, Sum):
+        return _isw(t.parts[-1]) and all(_rwo(p) for p in t.parts[:-1])
+    if isinstance(t, Prod):
+        return _isw(t.inner) and _rwo(t.inner) and _isw(t.index)
+    if isinstance(t, (GeomOmega, GeomOmegaStar)):
+        return _rwo(t.base) and _isw(t.base)
+    return False
+
+
+def _free_of(t, kinds):
+    if isinstance(t, kinds):
+        return False
+    if isinstance(t, Sum):
+        return all(_free_of(p, kinds) for p in t.parts)
+    if isinstance(t, Prod):
+        return _free_of(t.inner, kinds) and _free_of(t.index, kinds)
+    if isinstance(t, (GeomOmega, GeomOmegaStar)):
+        return _free_of(t.base, kinds)
+    return True
+
+
+def _facts(t):
+    """The facts of t, the end points by the point layer."""
+    n = _count(t)
+    return analysis.Facts(
+        nonempty=n != 0,
+        size=None if n == inf else n,
+        countable=_free_of(t, Lambda),
+        scattered=_free_of(t, (Eta, Lambda)),
+        left_end=first_point(t) is not None,
+        right_end=last_point(t) is not None,
+        well_ordered=_wo(t),
+        rev_well_ordered=_rwo(t),
+        final_segments_wo=_fsw(t),
+        initial_segments_rwo=_isw(t),
+    )
 
 
 def test_equal_terms_are_one_node():
@@ -75,9 +211,11 @@ def test_hash_is_the_hash_of_the_fields():
 def test_stored_data_is_what_a_fresh_computation_gives():
     # search corpus and random terms, then recompute one step of every
     # node's stored data from its children's: a normal form is a fixed
-    # point of the normalizer, reversal links both ways, the stored
-    # count, facts, pieces and cuts are the computed ones, and each
-    # stored power is the normal form of the unfolded product
+    # point of the normalizer and parses back from its printed form,
+    # reversal links both ways, the stored count, pieces and cuts are the
+    # computed ones, the stored text and facts are those of a recursion
+    # over the whole subtree, and each stored power is the normal form of
+    # the unfolded product
     texts = list(REGRESSION_CORPUS) + _random_texts(8, 40)
     keep = [parse_normalized(x) for x in texts]
     for k in range(0, len(keep), 4):
@@ -87,11 +225,23 @@ def test_stored_data_is_what_a_fresh_computation_gives():
             for t in keep[k:k + 4]:
                 eng.embeds(s, t)
     seen = dict.fromkeys(
-        ("nf", "rev", "count", "facts", "pieces", "cuts", "powers"), 0)
+        ("nf", "rev", "count", "text", "facts", "pieces", "cuts", "powers"), 0)
     for n in _live_nodes():
+        if n._text is not None:
+            seen["text"] += 1
+            for level in (0, 1, 2):
+                assert print_term(n, level) == _render(n, level), n
         if n._nf is True:
             seen["nf"] += 1
             assert terms._normalize(n) is n, print_term(n)
+            text = print_term(n)
+            if _nesting(text) <= terms.MAX_NESTING:
+                assert parse_normalized(text) is n, text
+            else:
+                # a high power of a base that is no ordinal, such as z^150,
+                # prints one bracket per factor, past the parser's bound
+                with pytest.raises(terms.ParseError, match="nested deeper"):
+                    parse_normalized(text)
         rev = n._rev() if isinstance(n._rev, weakref.ref) else n._rev
         if rev is not None:
             seen["rev"] += 1
@@ -102,7 +252,7 @@ def test_stored_data_is_what_a_fresh_computation_gives():
             assert terms._point_count(n) == n._count, print_term(n)
         if n._facts is not None:
             seen["facts"] += 1
-            assert analysis._facts(n) == n._facts
+            assert n._facts == _facts(n), print_term(n)
         if n._pieces is not None:
             seen["pieces"] += 1
             assert engine._pieces(n) == n._pieces
@@ -283,12 +433,24 @@ def test_a_power_above_the_cap_raises_before_anything_is_built():
     assert top.value == Ordinal(((Ordinal.from_int(7 * engine.MAX_POWER), 1),))
 
 
-def test_the_engine_does_not_import_the_point_layer():
-    tree = ast.parse(Path(engine.__file__).read_text())
+def _imported(module):
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module)
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
+    return imported
+
+
+def test_the_engine_does_not_import_the_point_layer():
+    imported = _imported(engine)
+    assert not imported & {"points", "ordtypes.points"}, imported
+
+
+def test_the_facts_do_not_import_the_point_layer():
+    # every fact, the end points included, is one step from the facts of
+    # the children, with no point of the term built
+    imported = _imported(analysis)
     assert not imported & {"points", "ordtypes.points"}, imported
