@@ -7,7 +7,8 @@ Subpackages:
 - ``finite``    -- brute-force oracle on explicit finite chains
 - ``terms``     -- symbolic term grammar, parser/printer, normalization
 - ``points``    -- computable point-level presentation of terms
-- ``analysis``  -- structural facts (endpoints, cardinality, scatteredness)
+- ``analysis``  -- structural facts (endpoints, cardinality, scatteredness,
+  Hausdorff rank)
 - ``fprofile``  -- finite-condensation class profiles
 - ``engine``    -- three-valued inference engine with replayable certificates
 - ``condense``  -- condensation constructions (F, E_Y, self-similar)

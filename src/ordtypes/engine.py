@@ -3,9 +3,9 @@
 ``Engine.embeds`` answers "does s embed in t?" three-valuedly (YES, NO,
 UNKNOWN) by bounded-depth search over a fixed catalogue of sound rules.
 Every YES/NO carries a certificate tree -- rule name, instantiation and
-premise sub-certificates -- that ``replay_certificate`` revalidates
-independently of the search.  UNKNOWN is an honest answer: the rule set
-is sound, not complete.
+premise sub-certificates, its terms printed when it is first read --
+that ``replay_certificate`` revalidates independently of the search.
+UNKNOWN is an honest answer: the rule set is sound, not complete.
 
 Each embedding rule is declared once, in ``RULES``: its name, in the
 default order, with its search.  A rule decided by side conditions
@@ -67,11 +67,29 @@ from .terms import (
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 
 
-@dataclass(frozen=True)
 class Verdict:
-    answer: str
-    certificate: Optional[dict] = None
-    frontier: Tuple[str, ...] = ()
+    """A three-valued answer.  A decided one carries its certificate
+    tree, built as the search decides, with the terms in it -- each
+    node's ``s`` and ``t`` and the terms of its instantiation -- kept as
+    terms until the certificate is first read.  They are printed then,
+    once, in place; a node whose terms are printed has its premises
+    printed too.  So the search prints no term, and a subgoal's
+    certificate that nothing reads is never printed."""
+
+    __slots__ = ("answer", "_node", "frontier")
+
+    def __init__(self, answer: str, certificate: Optional[dict] = None,
+                 frontier: Tuple[str, ...] = ()):
+        self.answer = answer
+        self._node = certificate
+        self.frontier = frontier
+
+    @property
+    def certificate(self) -> Optional[dict]:
+        node = self._node
+        if node is not None and not isinstance(node["s"], str):
+            _render(node)
+        return node
 
     @property
     def is_yes(self):
@@ -86,26 +104,53 @@ class Verdict:
         return self.answer != UNKNOWN
 
 
-def _cert(answer, rule, s, t, inst=None, premises=(), axioms=()):
-    return _printed_cert(answer, rule, print_term(s), print_term(t), inst,
-                         premises, axioms)
-
-
-def _printed_cert(answer, rule, s, t, inst=None, premises=(), axioms=()):
+def _cert(answer, rule, s, t, inst=None, premises=(), axioms=(), claim=None):
     node = {
         "answer": answer,
         "rule": rule,
         "s": s,
         "t": t,
         "instantiation": inst or {},
-        "premises": [p.certificate for p in premises],
+        "premises": [p._node for p in premises],
         "axioms": list(axioms),
     }
-    for p in premises:
-        for ax in p.certificate.get("axioms", []):
+    for q in node["premises"]:
+        for ax in q.get("axioms", []):
             if ax not in node["axioms"]:
                 node["axioms"].append(ax)
+    if claim is not None:
+        node["claim"] = claim
     return Verdict(answer, node)
+
+
+def _shown(value):
+    """An instantiation value as a certificate holds it: terms printed."""
+    if isinstance(value, Term):
+        return print_term(value)
+    if isinstance(value, list):
+        return [_shown(x) for x in value]
+    return value
+
+
+def _render(top: dict) -> None:
+    """Print the terms of the certificate node ``top`` and of each of its
+    premises not printed yet, premises first, in place, walking an
+    explicit stack."""
+    todo = [top]
+    while todo:
+        node = todo[-1]
+        if isinstance(node["s"], str):
+            todo.pop()
+            continue
+        waiting = [q for q in node["premises"] if not isinstance(q["s"], str)]
+        if waiting:
+            todo += waiting
+            continue
+        todo.pop()
+        inst = node["instantiation"]
+        for k, v in inst.items():
+            inst[k] = _shown(v)
+        node["s"], node["t"] = print_term(node["s"]), print_term(node["t"])
 
 
 UNK = Verdict(UNKNOWN)
@@ -375,6 +420,9 @@ _HEREDITARY_FACTS = (
     "initial_segments_rwo",
 )
 
+# the ordinal invariants of ``Facts`` that embedding never lowers
+_RANK_FACTS = ("rank", "final_rank", "initial_rank")
+
 
 def _sum_dp_plan(engine, sp, tp, i, j, depth, fail):
     """R-SUM-DP's plan for the parts sp[i:] of s into the parts tp[j:]
@@ -460,6 +508,11 @@ def _decide_struct(s, t):
     for name in _HEREDITARY_FACTS:
         if getattr(ft, name) and not getattr(fs, name):
             return NO, {"fact": name}
+    if fs.rank is not None and ft.rank is not None:
+        for name in _RANK_FACTS:
+            a, b = getattr(fs, name), getattr(ft, name)
+            if b < a:
+                return NO, {"fact": name, "s": str(a), "t": str(b)}
     return None
 
 
@@ -501,8 +554,7 @@ def _decide_block_unbounded(s, t):
         else:
             blocks = total_count(b) != 0 and not facts(a).rev_well_ordered
         if blocks:
-            return NO, {"side": side, "cut": i, "left": print_term(a),
-                        "right": print_term(b)}
+            return NO, {"side": side, "cut": i, "left": a, "right": b}
     return None
 
 
@@ -637,7 +689,6 @@ _PC_CANDIDATES = (
 class _ProfileBuilder:
     def __init__(self, t: Term):
         self.t = t
-        self.text = print_term(t)
         self.fields: Dict[str, Verdict] = {f: UNK for f in PROFILE_FIELDS}
 
     def set(self, field, answer, rule, inst=None, premises=(), axioms=()):
@@ -651,13 +702,13 @@ class _ProfileBuilder:
             cur = self.fields[field]
             if cur.decided:
                 if cur.answer != answer:
-                    raise InconsistencyError(f"{field} derived both {cur.answer}"
-                                             f" and {answer} for {self.text}")
-                if rule in _IMPLIED or cur.certificate["rule"] not in _IMPLIED:
+                    raise InconsistencyError(
+                        f"{field} derived both {cur.answer} and {answer} "
+                        f"for {print_term(self.t)}")
+                if rule in _IMPLIED or cur._node["rule"] not in _IMPLIED:
                     continue
-            v = _printed_cert(answer, rule, self.text, self.text, inst,
-                              premises, axioms)
-            v.certificate["claim"] = field
+            v = _cert(answer, rule, self.t, self.t, inst, premises, axioms,
+                      claim=field)
             self.fields[field] = v
             for name, premise, conclusion, side, _ in IMPLICATIONS:
                 if answer == YES and field == premise and side(self.t):
@@ -826,7 +877,7 @@ class Engine:
             v = self._embeds(s, piece, depth - 1)
             if v.is_yes:
                 return _cert(YES, "R-ABSORB", s, t,
-                             inst={"piece": print_term(piece)},
+                             inst={"piece": piece},
                              premises=(v,))
         return None
 
@@ -874,8 +925,7 @@ class Engine:
         if not vx.is_yes:
             return None
         return _cert(YES, "R-PROD-SUMFOLD", s, t,
-                     inst={"s_product": [print_term(sc[0]), print_term(sc[1])],
-                           "t_product": [print_term(tc[0]), print_term(tc[1])]},
+                     inst={"s_product": list(sc), "t_product": list(tc)},
                      premises=(vi, vx))
 
     def _rule_r_psi_tau(self, s, t, depth):
@@ -1056,7 +1106,7 @@ class Engine:
         decomp = self._decomposition_witness(t)
         if decomp is not None:
             l, r, vl, vr = decomp
-            inst = {"left": print_term(l), "right": print_term(r)}
+            inst = {"left": l, "right": r}
             b.set("indecomposable", NO, "C-SIDES", inst, (vl, vr))
             b.set("sum_closed", NO, "C-SC-NO", inst, (vl, vr))
         if square.is_yes:
@@ -1077,8 +1127,7 @@ class Engine:
                 v2 = self.embeds(t, tau)
                 if v0.is_yes and v1.is_no and v2.is_no:
                     b.set("s_untranscendable", NO, "C-SUTR-NO",
-                          {"psi": print_term(psi), "tau": print_term(tau)},
-                          (v0, v1, v2))
+                          {"psi": psi, "tau": tau}, (v0, v1, v2))
                     break
 
         if isinstance(t, Lambda):
@@ -1114,7 +1163,7 @@ class Engine:
             eq = self.equimorphic(t, c)
             if eq.is_yes:
                 b.set("homogeneous", YES, "C-HOMOG",
-                      {"transfer": print_term(c)}, (eq,))
+                      {"transfer": c}, (eq,))
                 return
         if ft.size is not None and ft.size >= 3:
             b.set("homogeneous", NO, "C-HOMOG", {"finite": ft.size})
@@ -1135,7 +1184,7 @@ class Engine:
             v = self.embeds(prod, t)
             if v.is_no:
                 b.set("product_closed", NO, "C-PC-NO",
-                      {"psi": print_term(psi), "tau": print_term(tau)}, (v,))
+                      {"psi": psi, "tau": tau}, (v,))
                 return
 
     def _strict_sides(self, b: _ProfileBuilder, double: Verdict):
@@ -1147,7 +1196,7 @@ class Engine:
                     v = self.embeds(t, part)
                     if v.is_no:
                         b.set(side, NO, "C-SIDE-CUT",
-                              {"part": print_term(part)}, (v,))
+                              {"part": part}, (v,))
         if b.fields["indecomposable"].is_yes and t not in _NO_TRICHOTOMY:
             self._trichotomy_closure(b, double)
 
@@ -1574,7 +1623,8 @@ def replay_certificate(node: dict) -> bool:
     intern table to give equal terms one node, and it trusts the data
     kept on a node as computed once: its normal form and reverse, its
     point count, its printed text, which a node's ``s`` and ``t`` are
-    compared by, its facts, its pieces and cuts (deep and shallow), and
+    compared by, its facts (the ordinal invariants R-STRUCT compares
+    among them), its pieces and cuts (deep and shallow), and
     the powers of a geometric base, each one normalizer step from the
     one before (``_npow``), which the search may have computed before the
     replay.  It trusts each rule:
@@ -1620,8 +1670,10 @@ def _replay(node: dict, s: Term, t: Term):
                     "the rule does not derive the node from its premises")
         else:
             decide, axioms = side
-            _expect(decide(s, t) == (node["answer"], node["instantiation"]),
-                    "side conditions")
+            d = decide(s, t)
+            _expect(d is not None and d[0] == node["answer"]
+                    and {k: _shown(v) for k, v in d[1].items()}
+                    == node["instantiation"], "side conditions")
             _expect(not prem and node["axioms"] == list(axioms),
                     "premises or axiom tags")
         return prem

@@ -618,18 +618,49 @@ def reverse_term(t: Term) -> Term:
 def _reverse(n: Term) -> Term:
     """Reverse of the normal form n, kept on n (``_rev``).  The reverse
     links back to n weakly, as a strong link both ways would make a
-    reference cycle; so does a node that is its own reverse."""
-    r = n._rev
-    if r.__class__ is weakref.ref:
-        r = r()
-    if r is None:
-        r = _reverse_normal(n)
+    reference cycle; so does a node that is its own reverse.  The nodes
+    below n whose reverse is not kept yet are reversed first, children
+    before parents, on an explicit stack: so each is one step on its
+    children's reverses, and a chain of powers takes no stack frame per
+    power."""
+    r = _kept_reverse(n)
+    if r is not None:
+        return r
+    todo = [n]
+    while todo:
+        m = todo[-1]
+        if _kept_reverse(m) is not None:
+            todo.pop()
+            continue
+        waiting = [c for c in _reversed_children(m)
+                   if _kept_reverse(c) is None]
+        if waiting:
+            todo += waiting
+            continue
+        todo.pop()
+        r = _reverse_normal(m)
         if r._nf is None:
             set_derived(r, "_nf", True)
-        set_derived(n, "_rev", weakref.ref(n) if r is n else r)
-        if r is not n and not isinstance(r._rev, Term):
-            set_derived(r, "_rev", weakref.ref(n))
-    return r
+        set_derived(m, "_rev", weakref.ref(m) if r is m else r)
+        if r is not m and not isinstance(r._rev, Term):
+            set_derived(r, "_rev", weakref.ref(m))
+    return _kept_reverse(n)
+
+
+def _kept_reverse(n: Term) -> Optional[Term]:
+    r = n._rev
+    return r() if r.__class__ is weakref.ref else r
+
+
+def _reversed_children(t: Term) -> Tuple[Term, ...]:
+    """The children whose reverses ``_reverse_normal`` reads."""
+    if isinstance(t, Sum):
+        return t.parts
+    if isinstance(t, Prod):
+        return t.inner, t.index
+    if isinstance(t, (GeomOmega, GeomOmegaStar)):
+        return (t.base,)
+    return ()
 
 
 # ---------------------------------------------------------------------------

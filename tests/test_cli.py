@@ -189,3 +189,16 @@ def test_geometric_sums_from_a_high_power_answer():
         code, out, err = run(["type", "embeds", "w", t])
         assert (code, out.strip(), err) == (0, "YES", ""), t
 
+
+def test_calls_that_reverse_a_chain_of_powers_end():
+    # R-REV reverses z^500, a Prod chain 500 deep, and the search names
+    # high powers of z + 1, whose text doubles with each power: each
+    # call ends with a documented exit code, not a RecursionError or a
+    # MemoryError
+    for argv in (["type", "embeds", "z*z", "geom(z, 500)"],
+                 ["type", "embeds", "z*z", "geom(z, 500)", "--json"],
+                 ["type", "classify", "geom(z, 500)"]):
+        code, _, _ = run(argv)
+        assert code in (0, 1, 2), argv
+    code, out, _ = run(["type", "embeds", "geomrev(z+1, 300)", "z*z"])
+    assert (code, out.strip()) == (0, "NO")

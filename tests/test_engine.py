@@ -245,6 +245,21 @@ def test_all_certificates_replay(eng):
         )[:400]
 
 
+def test_certificates_are_rendered_when_read():
+    # the search prints no term: a certificate keeps its terms as terms
+    # until it is first read, and they are printed then, once
+    s, t = T("w^(731) + 17"), T("w^(731)*z")
+    piece = T("w^(731)*3")
+    v = Engine().embeds(s, t)
+    assert v.is_yes
+    assert s._text is None and t._text is None and piece._text is None
+    cert = v.certificate
+    assert (cert["s"], cert["t"]) == (s._text, t._text)
+    assert cert["instantiation"] == {"piece": piece._text}
+    assert v.certificate is cert
+    assert replay_certificate(cert)
+
+
 def _corruptions(node, eng):
     flip = dict(node)
     flip["answer"] = NO if node["answer"] == YES else YES

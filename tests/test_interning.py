@@ -174,6 +174,63 @@ def _free_of(t, kinds):
     return True
 
 
+_ONE = Ordinal.from_int(1)
+
+
+def _ordinal_ranks(a):
+    if a.is_zero():
+        return a, a, a
+    e = a.terms[0][0]
+    # below w^e (e >= 1) the ordinals' ranks stay below e, else reach it
+    below = e if a.terms == ((e, 1),) and not e.is_zero() else e + _ONE
+    return e, e + _ONE, below
+
+
+def _ranks(t, memo):
+    """(rank, final rank, initial rank) of the scattered t, memoized by
+    node in ``memo``; a sum's final segment past a point of its i-th
+    part is that part's final segment followed by the parts after it."""
+    if t in memo:
+        return memo[t]
+    if isinstance(t, OrdLeaf):
+        out = _ordinal_ranks(t.value)
+    elif isinstance(t, RevOrd):
+        r, f, i = _ordinal_ranks(t.power)
+        out = r, i, f
+    elif isinstance(t, Zeta):
+        out = _ONE, _ONE + _ONE, _ONE + _ONE
+    elif isinstance(t, Sum):
+        rs = [_ranks(p, memo) for p in t.parts]
+        out = (max(r[0] for r in rs), _segment_rank(rs, 1),
+               _segment_rank(rs[::-1], 2))
+    elif isinstance(t, Prod):
+        (a, _, _), (b, bf, bi) = _ranks(t.inner, memo), _ranks(t.index, memo)
+        out = a + b, a + bf, a + bi
+    elif isinstance(t, (GeomOmega, GeomOmegaStar)):
+        r = _ranks(t.base, memo)[0] * terms.OMEGA_T.value
+        up = isinstance(t, GeomOmega)
+        out = r, r + _ONE if up else r, r if up else r + _ONE
+    else:
+        a = t.limit
+        e = a.terms[0][0]
+        r = e if a.terms == ((e, 1),) else e + _ONE
+        star = isinstance(t, SeqSumStar)
+        out = r, r if star else r + _ONE, r + _ONE if star else r
+    memo[t] = out
+    return out
+
+
+def _segment_rank(rs, k):
+    """The final (k = 1) or, of the reversed parts, initial (k = 2) rank
+    of a sum whose parts have the ranks rs: the max, over each part, of
+    its own and of the rank of the parts after it, plus one."""
+    out, after = rs[-1][k], rs[-1][0]
+    for r in reversed(rs[:-1]):
+        out = max(out, r[k], after + _ONE)
+        after = max(after, r[0])
+    return out
+
+
 def _facts(t):
     """The facts of t, the end points by the point layer."""
     n = _count(t)
@@ -188,6 +245,9 @@ def _facts(t):
         rev_well_ordered=_rwo(t),
         final_segments_wo=_fsw(t),
         initial_segments_rwo=_isw(t),
+        **dict(zip(("rank", "final_rank", "initial_rank"),
+                   _ranks(t, {}) if _free_of(t, (Eta, Lambda))
+                   else (None,) * 3)),
     )
 
 
