@@ -231,19 +231,6 @@ def _order_facts(t: Term):
     raise TypeError(f"unexpected term {t!r}")
 
 
-# the naturals below 64: most ranks are small, and these are shared
-_NATURALS = tuple(Ordinal.from_int(k) for k in range(64))
-
-
-def _plus(a: Ordinal, b: Ordinal) -> Ordinal:
-    """a + b, the shared natural when both are small naturals."""
-    if a.is_finite() and b.is_finite():
-        k = a.as_int() + b.as_int()
-        if k < len(_NATURALS):
-            return _NATURALS[k]
-    return a + b
-
-
 def _lead(a: Ordinal) -> Ordinal:
     """The leading exponent of a nonzero ordinal."""
     return a.terms[0][0]
@@ -254,7 +241,7 @@ def _ordinal_ranks(a: Ordinal):
     if a.is_zero():
         return ZERO, ZERO, ZERO
     e = _lead(a)
-    above = _plus(e, ONE)
+    above = e + ONE
     power = a.is_additively_indecomposable() and not a.is_finite()
     return e, above, e if power else above
 
@@ -268,30 +255,31 @@ def _ranks(t: Term):
         rank, final, initial = _ordinal_ranks(t.power)
         return rank, initial, final
     if isinstance(t, Zeta):
-        return ONE, _NATURALS[2], _NATURALS[2]
+        two = Ordinal.from_int(2)
+        return ONE, two, two
     if isinstance(t, Sum):
         fs = [facts(p) for p in t.parts]
-        after = _plus(max(f.rank for f in fs[1:]), ONE)
-        before = _plus(max(f.rank for f in fs[:-1]), ONE)
+        after = max(f.rank for f in fs[1:]) + ONE
+        before = max(f.rank for f in fs[:-1]) + ONE
         return (max(f.rank for f in fs), max(fs[0].final_rank, after),
                 max(fs[-1].initial_rank, before))
     if isinstance(t, Prod):
         a, b = facts(t.inner), facts(t.index)
-        return (_plus(a.rank, b.rank), _plus(a.rank, b.final_rank),
-                _plus(a.rank, b.initial_rank))
+        return (a.rank + b.rank, a.rank + b.final_rank,
+                a.rank + b.initial_rank)
     if isinstance(t, (GeomOmega, GeomOmegaStar)):
         r = facts(t.base).rank * OMEGA
         if isinstance(t, GeomOmega):
-            return r, _plus(r, ONE), r
-        return r, r, _plus(r, ONE)
+            return r, r + ONE, r
+        return r, r, r + ONE
     if isinstance(t, (SeqSumStar, SeqSumRev)):
         a = t.limit
         r = _lead(a)
         if not a.is_additively_indecomposable():
-            r = _plus(r, ONE)
+            r = r + ONE
         if isinstance(t, SeqSumStar):
-            return r, r, _plus(r, ONE)
-        return r, _plus(r, ONE), r
+            return r, r, r + ONE
+        return r, r + ONE, r
     raise TypeError(f"unexpected term {t!r}")
 
 

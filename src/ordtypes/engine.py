@@ -51,6 +51,7 @@ from .terms import (
     OMEGA_T,
     OMEGA_STAR,
     ONE_T,
+    children_first,
     co_ordinal,
     fin,
     normalize,
@@ -87,7 +88,7 @@ class Verdict:
     @property
     def certificate(self) -> Optional[dict]:
         node = self._node
-        if node is not None and not isinstance(node["s"], str):
+        if node is not None and not _rendered(node):
             _render(node)
         return node
 
@@ -134,23 +135,24 @@ def _shown(value):
 
 def _render(top: dict) -> None:
     """Print the terms of the certificate node ``top`` and of each of its
-    premises not printed yet, premises first, in place, walking an
-    explicit stack."""
-    todo = [top]
-    while todo:
-        node = todo[-1]
-        if isinstance(node["s"], str):
-            todo.pop()
-            continue
-        waiting = [q for q in node["premises"] if not isinstance(q["s"], str)]
-        if waiting:
-            todo += waiting
-            continue
-        todo.pop()
-        inst = node["instantiation"]
-        for k, v in inst.items():
-            inst[k] = _shown(v)
-        node["s"], node["t"] = print_term(node["s"]), print_term(node["t"])
+    premises not printed yet, premises first (``children_first``), in
+    place."""
+    children_first(top, _premises, _rendered, _render_node)
+
+
+def _premises(node: dict):
+    return node["premises"]
+
+
+def _rendered(node: dict) -> bool:
+    return isinstance(node["s"], str)
+
+
+def _render_node(node: dict) -> None:
+    inst = node["instantiation"]
+    for k, v in inst.items():
+        inst[k] = _shown(v)
+    node["s"], node["t"] = print_term(node["s"]), print_term(node["t"])
 
 
 UNK = Verdict(UNKNOWN)

@@ -554,8 +554,12 @@ def _norm_seqsum(a: Ordinal, reverse: bool) -> Term:
     return SeqSumRev(a) if reverse else SeqSumStar(a)
 
 
-def _reverse_normal(t: Term) -> Term:
-    """Reverse of an already-normalized term, renormalized."""
+def _reverse_normal(t: Term, revs=None) -> Term:
+    """Reverse of an already-normalized term, renormalized.  revs are
+    the reverses of ``_reversed_children(t)``, in that order; they are
+    made here when not given."""
+    if revs is None:
+        revs = [_reverse(c) for c in _reversed_children(t)]
     if isinstance(t, OrdLeaf):
         return rev_ordinal_term(t.value)
     if isinstance(t, RevOrd):
@@ -563,13 +567,13 @@ def _reverse_normal(t: Term) -> Term:
     if isinstance(t, (Zeta, Eta, Lambda)):
         return t
     if isinstance(t, Sum):
-        return _norm_sum([_reverse(p) for p in reversed(t.parts)])
+        return _norm_sum(revs[::-1])
     if isinstance(t, Prod):
-        return _norm_prod(_reverse(t.inner), _reverse(t.index))
+        return _norm_prod(*revs)
     if isinstance(t, GeomOmega):
-        return _norm_geom(_reverse(t.base), t.start, star=True)
+        return _norm_geom(revs[0], t.start, star=True)
     if isinstance(t, GeomOmegaStar):
-        return _norm_geom(_reverse(t.base), t.start, star=False)
+        return _norm_geom(revs[0], t.start, star=False)
     if isinstance(t, SeqSumStar):
         return _norm_seqsum(t.limit, reverse=True)
     if isinstance(t, SeqSumRev):
@@ -620,31 +624,43 @@ def _reverse(n: Term) -> Term:
     links back to n weakly, as a strong link both ways would make a
     reference cycle; so does a node that is its own reverse.  The nodes
     below n whose reverse is not kept yet are reversed first, children
-    before parents, on an explicit stack: so each is one step on its
+    before parents (``children_first``): so each is one step on its
     children's reverses, and a chain of powers takes no stack frame per
     power."""
     r = _kept_reverse(n)
-    if r is not None:
-        return r
-    todo = [n]
+    if r is None:
+        children_first(n, _reversed_children, _kept_reverse, _reverse_step)
+        r = _kept_reverse(n)
+    return r
+
+
+def _reverse_step(m: Term) -> None:
+    """Reverse m from its children's kept reverses, and keep it."""
+    r = _reverse_normal(m, [_kept_reverse(c) for c in _reversed_children(m)])
+    if r._nf is None:
+        set_derived(r, "_nf", True)
+    set_derived(m, "_rev", weakref.ref(m) if r is m else r)
+    if r is not m and not isinstance(r._rev, Term):
+        set_derived(r, "_rev", weakref.ref(m))
+
+
+def children_first(top, children, done, step) -> None:
+    """Run step on top and on each node below it that is not done yet,
+    each node after its children, on an explicit stack, so a deep chain
+    takes no stack frame per level.  children(n) lists the nodes that
+    step(n) reads; done(n) is truthy once step(n) has run."""
+    todo = [top]
     while todo:
         m = todo[-1]
-        if _kept_reverse(m) is not None:
+        if done(m):
             todo.pop()
             continue
-        waiting = [c for c in _reversed_children(m)
-                   if _kept_reverse(c) is None]
+        waiting = [c for c in children(m) if not done(c)]
         if waiting:
             todo += waiting
             continue
         todo.pop()
-        r = _reverse_normal(m)
-        if r._nf is None:
-            set_derived(r, "_nf", True)
-        set_derived(m, "_rev", weakref.ref(m) if r is m else r)
-        if r is not m and not isinstance(r._rev, Term):
-            set_derived(r, "_rev", weakref.ref(m))
-    return _kept_reverse(n)
+        step(m)
 
 
 def _kept_reverse(n: Term) -> Optional[Term]:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -115,6 +116,27 @@ def test_reverse_involution():
         t = normalize(rand_term(rng, 3))
         assert normalize(reverse_term(reverse_term(t))) == t
         assert _reverse_normal(reverse_term(t)) is t
+
+
+def test_reverse_deep_chain():
+    # each link nests the one before under a Sum, a Prod, a geom or a
+    # geomrev, one normalizer step each, so the chain is built without
+    # recursion and is far deeper than the recursion limit: reversing it
+    # must not take a stack frame per level
+    links = (lambda t: Prod(Sum((t, ONE_T)), ZETA),
+             lambda t: GeomOmega(t, 0),
+             lambda t: GeomOmegaStar(t, 0))
+    n = 3 * sys.getrecursionlimit()
+    t = ZETA
+    for k in range(n):
+        t = normalize(links[k % 3](t))
+    links_kept, spine = 0, t
+    while spine is not ZETA:
+        links_kept += 1
+        spine = getattr(spine, "base", None) or spine.inner.parts[0]
+    assert links_kept == n
+    r = reverse_term(t)
+    assert isinstance(r, GeomOmega) and reverse_term(r) is t
 
 
 def test_reverse_frozen():
