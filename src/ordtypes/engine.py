@@ -19,10 +19,11 @@ line for countable orders (R-ETA-UNIV), which replay requires.
 
 ``classify_type`` fills a nine-field profile of a term t.  Each decided
 field is certified by a node of a C-rule about t alone (s == t) whose
-``claim`` names the field; ``CLASSIFIERS`` declares the fields each
-C-rule may claim.  The links between fields, the paper's theorems among
-them, are one table, ``IMPLICATIONS``, applied both ways as the profile
-is built.
+``claim`` names the field.  Each C-rule is declared once, in
+``CLASSIFIERS``, with its step: the search that ``classify_type`` runs
+and that replay runs again against a node's premises.  The links between
+fields, the paper's theorems among them, are one table, ``IMPLICATIONS``,
+applied both ways as the profile is built.
 """
 
 from __future__ import annotations
@@ -243,18 +244,8 @@ def _cuts(t: Term, deep: bool) -> List[Tuple[Term, Term]]:
             out.append((reverse_term(r), reverse_term(l)))
     elif isinstance(t, Zeta):
         out.append((OMEGA_STAR, OMEGA_T))
-    elif isinstance(t, Eta):
-        out.extend(
-            [(ETA, ETA), (_sumify([ETA, ONE_T]), ETA), (ETA, _sumify([ONE_T, ETA]))]
-        )
-    elif isinstance(t, Lambda):
-        out.extend(
-            [
-                (LAMBDA, LAMBDA),
-                (_sumify([LAMBDA, ONE_T]), LAMBDA),
-                (LAMBDA, _sumify([ONE_T, LAMBDA])),
-            ]
-        )
+    elif isinstance(t, (Eta, Lambda)):
+        out.extend([(t, t), (_sumify([t, ONE_T]), t), (t, _sumify([ONE_T, t]))])
     elif isinstance(t, Sum):
         ps = t.parts
         for i in range(1, len(ps)):
@@ -310,28 +301,14 @@ def _pieces(t: Term) -> Tuple[Term, ...]:
             out.append(normalize(Prod(t.inner, fin(k))))
     elif isinstance(t, Zeta):
         out.extend([OMEGA_STAR, OMEGA_T])
-    elif isinstance(t, GeomOmega):
-        out.append(OMEGA_T)
-        out.append(t.base)
-        for n in range(t.start, t.start + 3):
-            out.append(_npow(t.base, n))
+    elif isinstance(t, (GeomOmega, GeomOmegaStar)):
+        star = isinstance(t, GeomOmegaStar)
+        out += [OMEGA_STAR if star else OMEGA_T, t.base]
+        out += [_npow(t.base, n) for n in range(t.start, t.start + 3)]
         for k in (2, 3):
-            out.append(
-                _sumify([_npow(t.base, n) for n in range(t.start, t.start + k)])
-            )
-        out.append(GeomOmega(t.base, t.start + 1))
-    elif isinstance(t, GeomOmegaStar):
-        out.append(OMEGA_STAR)
-        out.append(t.base)
-        for n in range(t.start, t.start + 3):
-            out.append(_npow(t.base, n))
-        for k in (2, 3):
-            out.append(
-                _sumify(
-                    [_npow(t.base, n) for n in range(t.start + k - 1, t.start - 1, -1)]
-                )
-            )
-        out.append(GeomOmegaStar(t.base, t.start + 1))
+            run = [_npow(t.base, n) for n in range(t.start, t.start + k)]
+            out.append(_sumify(run[::-1] if star else run))
+        out.append(type(t)(t.base, t.start + 1))
     elif isinstance(t, SeqSumStar):
         out.append(OMEGA_STAR)
         from .ordinals import fundamental_sequence
@@ -591,9 +568,6 @@ class TypeProfile:
     def answers(self) -> dict:
         return {f: getattr(self, f).answer for f in PROFILE_FIELDS}
 
-    def decided(self) -> dict:
-        return {f: v for f, v in self.answers().items() if v != UNKNOWN}
-
 
 def _ordinal_flags(a: Ordinal, swap: bool) -> Dict[str, str]:
     """The closed-form profile of the ordinal a, or of its reverse when
@@ -717,6 +691,203 @@ class _ProfileBuilder:
                     todo.append((conclusion, YES, name, None, (v,), ()))
                 elif answer == NO and field == conclusion and side(self.t):
                     todo.append((premise, NO, name, None, (v,), ()))
+
+
+# ---------------------------------------------------------------------------
+# classification steps
+#
+# Each C-rule's search is one step, ``step(engine, b)``, that certifies
+# fields of the profile b of the term b.t by ``b.set``.  A step reads
+# only ``embeds``, ``equimorphic`` and ``use_choice`` of its engine, the
+# data kept on b.t (its facts, cuts and point count) and the fields b has
+# already decided, so that replay can run it against the premises of a
+# node (see ``CLASSIFIERS``).
+
+
+def _step_ordinal(engine, b):
+    """C-ORD, C-ORD-REV: the closed form of an ordinal or its reverse."""
+    a = pure_ordinal(b.t)
+    rule, val = ("C-ORD", a) if a is not None else ("C-ORD-REV", co_ordinal(b.t))
+    if val is not None:
+        for field, answer in _ordinal_flags(val, a is None).items():
+            b.set(field, answer, rule, {"ordinal": str(val)})
+
+
+def _step_double(engine, b):
+    """C-DOUBLE: t + t <= t makes t indecomposable and sum-closed."""
+    t = b.t
+    double = engine.embeds(_sumify([t, t]), t)
+    if double.is_yes:
+        for field in ("indecomposable", "sum_closed"):
+            b.set(field, YES, "C-DOUBLE", premises=(double,))
+
+
+def _step_sides(engine, b):
+    """C-SIDES, C-SC-NO: a cut t = l + r with t embedding in neither side."""
+    t = b.t
+    for l, r in term_cuts(t):
+        vl = engine.embeds(t, l)
+        vr = engine.embeds(t, r) if vl.is_no else UNK
+        if vr.is_no:
+            inst = {"left": l, "right": r}
+            b.set("indecomposable", NO, "C-SIDES", inst, (vl, vr))
+            b.set("sum_closed", NO, "C-SC-NO", inst, (vl, vr))
+            return
+
+
+def _step_square(engine, b):
+    """C-SQUARE: t*t <= t makes t s-untranscendable and product-closed."""
+    t = b.t
+    square = engine.embeds(normalize(Prod(t, t)), t)
+    if square.is_yes:
+        for field in ("s_untranscendable", "product_closed"):
+            b.set(field, YES, "C-SQUARE", premises=(square,))
+
+
+def _step_homogeneity(engine, b):
+    """C-HOMOG: a catalogued homogeneous type, one equimorphic to one, or
+    3 or more points; C-HOMOG-SCAT: an infinite homogeneous type is dense."""
+    t = b.t
+    if t in _HOMOGENEOUS:
+        b.set("homogeneous", YES, "C-HOMOG")
+        return
+    for c in (ETA, LAMBDA):
+        eq = engine.equimorphic(t, c)
+        if eq.is_yes:
+            b.set("homogeneous", YES, "C-HOMOG", {"transfer": c}, (eq,))
+            return
+    ft = facts(t)
+    if ft.size is not None and ft.size >= 3:
+        b.set("homogeneous", NO, "C-HOMOG", {"finite": ft.size})
+    elif ft.size is None and ft.scattered:
+        b.set("homogeneous", NO, "C-HOMOG-SCAT")
+
+
+def _step_catalogued(engine, b):
+    """C-GEOM and C-CAT-LAMBDA: the catalogued untranscendable types."""
+    if isinstance(b.t, (GeomOmega, GeomOmegaStar)):
+        b.set("untranscendable", YES, "C-GEOM")
+    if isinstance(b.t, Lambda):
+        b.set("untranscendable", YES, "C-CAT-LAMBDA")
+
+
+def _step_sutr_no(engine, b):
+    """C-SUTR-NO: t embeds in psi*tau but in neither factor."""
+    t = b.t
+    if b.fields["s_untranscendable"].decided:
+        return
+    for psi, tau in _sutr_candidates(t):
+        v0 = engine.embeds(t, normalize(Prod(psi, tau)))
+        v1 = engine.embeds(t, psi)
+        v2 = engine.embeds(t, tau)
+        if v0.is_yes and v1.is_no and v2.is_no:
+            b.set("s_untranscendable", NO, "C-SUTR-NO",
+                  {"psi": psi, "tau": tau}, (v0, v1, v2))
+            return
+
+
+def _strictly_below(engine, x, t):
+    """The verdicts x <= t YES and t <= x NO, or None."""
+    up = engine.embeds(x, t)
+    down = engine.embeds(t, x) if up.is_yes else UNK
+    return (up, down) if down.is_no else None
+
+
+def _step_product_closed_no(engine, b):
+    """C-LAMBDA-PC: the real line is not product-closed (choice); C-PC-NO:
+    psi and tau strictly below t whose product does not embed in t."""
+    t = b.t
+    if isinstance(t, Lambda):
+        if engine.use_choice:
+            b.set("product_closed", NO, "C-LAMBDA-PC", axioms=("AC",))
+        return
+    if b.fields["product_closed"].decided:
+        return
+    for psi, tau in _PC_CANDIDATES:
+        lower = _strictly_below(engine, psi, t)
+        upper = lower and _strictly_below(engine, tau, t)
+        if upper:
+            v = engine.embeds(normalize(Prod(psi, tau)), t)
+            if v.is_no:
+                b.set("product_closed", NO, "C-PC-NO",
+                      {"psi": psi, "tau": tau}, (*lower, *upper, v))
+                return
+
+
+def _step_sierpinski(engine, b):
+    """C-SIERPINSKI: an uncountable suborder of the reals (choice)."""
+    t = b.t
+    if not facts(t).countable and engine.use_choice:
+        vl = engine.embeds(t, LAMBDA)
+        if vl.is_yes:
+            b.set("strongly_indecomposable", NO, "C-SIERPINSKI",
+                  premises=(vl,), axioms=("AC",))
+
+
+def _step_side_cut(engine, b):
+    """C-SIDE-CUT: t does not embed in a nonempty side of one of its cuts."""
+    t = b.t
+    for l, r in term_cuts(t):
+        for side, part in (("strictly_indec_right", r),
+                           ("strictly_indec_left", l)):
+            if not b.fields[side].decided and total_count(part) != 0:
+                v = engine.embeds(t, part)
+                if v.is_no:
+                    b.set(side, NO, "C-SIDE-CUT", {"part": part}, (v,))
+
+
+def _step_trichotomy(engine, b):
+    """C-TRICH-EXCL: for an indecomposable type other than 0 and 1,
+    exactly one of {t + t <= t, strictly left, strictly right} holds;
+    fill in what the decided alternatives force.  Each alternative
+    makes t indecomposable, so one that holds stands for that premise."""
+    t = b.t
+    if t in _NO_TRICHOTOMY:
+        return
+    double = engine.embeds(_sumify([t, t]), t)
+    held = [v for v in [double] + [b.fields[side] for side in _STRICT_SIDES]
+            if v.is_yes]
+    indec = b.fields["indecomposable"]
+    if not (held or indec.is_yes):
+        return
+    for side, other in zip(_STRICT_SIDES, reversed(_STRICT_SIDES)):
+        if b.fields[side].decided:
+            continue
+        if held:
+            b.set(side, NO, "C-TRICH-EXCL", premises=held[:1])
+        elif double.is_no and b.fields[other].is_no:
+            b.set(side, YES, "C-TRICH-EXCL",
+                  premises=(double, b.fields[other], indec))
+
+
+# The classification rules: name -> the step that searches for its nodes
+# and that replay runs to check one.  ``classify_type`` runs the first
+# step for an ordinal or a reversed ordinal, and the others, in this
+# order, for any other type.
+CLASSIFIERS = {
+    "C-ORD": _step_ordinal,
+    "C-ORD-REV": _step_ordinal,
+    "C-DOUBLE": _step_double,
+    "C-SIDES": _step_sides,
+    "C-SC-NO": _step_sides,
+    "C-SQUARE": _step_square,
+    "C-HOMOG": _step_homogeneity,
+    "C-HOMOG-SCAT": _step_homogeneity,
+    "C-GEOM": _step_catalogued,
+    "C-CAT-LAMBDA": _step_catalogued,
+    "C-SUTR-NO": _step_sutr_no,
+    "C-LAMBDA-PC": _step_product_closed_no,
+    "C-PC-NO": _step_product_closed_no,
+    "C-SIERPINSKI": _step_sierpinski,
+    "C-SIDE-CUT": _step_side_cut,
+    "C-TRICH-EXCL": _step_trichotomy,
+}
+
+_GENERAL_STEPS = tuple(dict.fromkeys(CLASSIFIERS.values()))[1:]
+
+# every rule whose nodes classify one term: the steps and the rows of
+# ``IMPLICATIONS``
+_CLASSIFICATIONS = frozenset(CLASSIFIERS) | _IMPLIED
 
 
 # ---------------------------------------------------------------------------
@@ -1081,142 +1252,23 @@ class Engine:
     def classify_type(self, t: Term) -> TypeProfile:
         t = normalize(t)
         b = _ProfileBuilder(t)
-        a = pure_ordinal(t)
-        co = co_ordinal(t)
-        if a is not None or co is not None:
-            # ordinal and reversed-ordinal closed forms
-            rule, val = ("C-ORD", a) if a is not None else ("C-ORD-REV", co)
-            for field, answer in _ordinal_flags(val, a is None).items():
-                b.set(field, answer, rule, {"ordinal": str(val)})
+        if pure_ordinal(t) is not None or co_ordinal(t) is not None:
+            _step_ordinal(self, b)
         else:
             self._classify_general(b)
         prof = TypeProfile(**b.fields)
         self._enforce_profile(t, prof)
         return prof
 
-    # -- the general catalogue -------------------------------------------
-
     def _classify_general(self, b: _ProfileBuilder):
+        """Run the general catalogue's steps on b in order.  t + t <= t
+        and t*t <= t are asked first, as the memo and UNKNOWN reuse
+        depend on the order of the goals; the steps ask them again."""
         t = b.t
-        ft = facts(t)
-        double = self.embeds(_sumify([t, t]), t)
-        square = self.embeds(normalize(Prod(t, t)), t)
-
-        if double.is_yes:
-            for field in ("indecomposable", "sum_closed"):
-                b.set(field, YES, "C-DOUBLE", premises=(double,))
-        decomp = self._decomposition_witness(t)
-        if decomp is not None:
-            l, r, vl, vr = decomp
-            inst = {"left": l, "right": r}
-            b.set("indecomposable", NO, "C-SIDES", inst, (vl, vr))
-            b.set("sum_closed", NO, "C-SC-NO", inst, (vl, vr))
-        if square.is_yes:
-            for field in ("s_untranscendable", "product_closed"):
-                b.set(field, YES, "C-SQUARE", premises=(square,))
-
-        self._homogeneity(b, ft)
-        if isinstance(t, (GeomOmega, GeomOmegaStar)):
-            b.set("untranscendable", YES, "C-GEOM")
-        if isinstance(t, Lambda):
-            b.set("untranscendable", YES, "C-CAT-LAMBDA")
-
-        if not b.fields["s_untranscendable"].decided:
-            for psi, tau in _sutr_candidates(t):
-                prod = normalize(Prod(psi, tau))
-                v0 = self.embeds(t, prod)
-                v1 = self.embeds(t, psi)
-                v2 = self.embeds(t, tau)
-                if v0.is_yes and v1.is_no and v2.is_no:
-                    b.set("s_untranscendable", NO, "C-SUTR-NO",
-                          {"psi": psi, "tau": tau}, (v0, v1, v2))
-                    break
-
-        if isinstance(t, Lambda):
-            if self.use_choice:
-                b.set("product_closed", NO, "C-LAMBDA-PC", axioms=("AC",))
-        elif not b.fields["product_closed"].decided:
-            self._product_closed_witness(b)
-
-        if not ft.countable and self.use_choice:
-            vl = self.embeds(t, LAMBDA)
-            if vl.is_yes:
-                b.set("strongly_indecomposable", NO, "C-SIERPINSKI",
-                      premises=(vl,), axioms=("AC",))
-
-        self._strict_sides(b, double)
-
-    def _decomposition_witness(self, t):
-        for l, r in term_cuts(t):
-            vl = self.embeds(t, l)
-            if not vl.is_no:
-                continue
-            vr = self.embeds(t, r)
-            if vr.is_no:
-                return l, r, vl, vr
-        return None
-
-    def _homogeneity(self, b: _ProfileBuilder, ft):
-        t = b.t
-        if t in _HOMOGENEOUS:
-            b.set("homogeneous", YES, "C-HOMOG")
-            return
-        for c in (ETA, LAMBDA):
-            eq = self.equimorphic(t, c)
-            if eq.is_yes:
-                b.set("homogeneous", YES, "C-HOMOG",
-                      {"transfer": c}, (eq,))
-                return
-        if ft.size is not None and ft.size >= 3:
-            b.set("homogeneous", NO, "C-HOMOG", {"finite": ft.size})
-            return
-        if ft.size is None and ft.scattered:
-            # an infinite homogeneous type is dense, so nothing
-            # equimorphic to a scattered type qualifies
-            b.set("homogeneous", NO, "C-HOMOG-SCAT")
-
-    def _product_closed_witness(self, b: _ProfileBuilder):
-        t = b.t
-        for psi, tau in _PC_CANDIDATES:
-            if not (self.embeds(psi, t).is_yes and self.embeds(t, psi).is_no):
-                continue
-            if not (self.embeds(tau, t).is_yes and self.embeds(t, tau).is_no):
-                continue
-            prod = normalize(Prod(psi, tau))
-            v = self.embeds(prod, t)
-            if v.is_no:
-                b.set("product_closed", NO, "C-PC-NO",
-                      {"psi": psi, "tau": tau}, (v,))
-                return
-
-    def _strict_sides(self, b: _ProfileBuilder, double: Verdict):
-        t = b.t
-        for l, r in term_cuts(t):
-            for side, part in (("strictly_indec_right", r),
-                               ("strictly_indec_left", l)):
-                if not b.fields[side].decided and total_count(part) != 0:
-                    v = self.embeds(t, part)
-                    if v.is_no:
-                        b.set(side, NO, "C-SIDE-CUT",
-                              {"part": part}, (v,))
-        if b.fields["indecomposable"].is_yes and t not in _NO_TRICHOTOMY:
-            self._trichotomy_closure(b, double)
-
-    def _trichotomy_closure(self, b: _ProfileBuilder, double: Verdict):
-        """For an indecomposable type other than 0 and 1, exactly one
-        of {t+t =< t, strictly left, strictly right} holds; fill in
-        what the decided alternatives force."""
-        alts = [double] + [b.fields[side] for side in _STRICT_SIDES]
-        held = [v for v in alts if v.is_yes]
-        for side, other in zip(_STRICT_SIDES, reversed(_STRICT_SIDES)):
-            if b.fields[side].decided:
-                continue
-            if held:
-                b.set(side, NO, "C-TRICH-EXCL", premises=held[:1])
-            elif double.is_no and b.fields[other].is_no:
-                b.set(side, YES, "C-TRICH-EXCL",
-                      premises=(double, b.fields[other],
-                                b.fields["indecomposable"]))
+        self.embeds(_sumify([t, t]), t)
+        self.embeds(normalize(Prod(t, t)), t)
+        for step in _GENERAL_STEPS:
+            step(self, b)
 
     def _enforce_profile(self, t: Term, p: TypeProfile):
         # (``_ProfileBuilder.set`` holds the profile to IMPLICATIONS)
@@ -1302,10 +1354,10 @@ class Engine:
 # certificate replay
 #
 # Replay checks each node from the terms printed in it and the nodes of
-# its premises, then checks the premises in turn.  A node of an R-rule is
-# checked by the rule itself (see ``RULES``); the checks of the C-rules,
-# which classify one term, are in ``CLASSIFIERS``, and those of EQ and
-# GARRETT in ``VALIDATORS``.  A tampered certificate fails.
+# its premises, then checks the premises in turn.  A node of an R-rule or
+# of a C-rule is checked by the rule itself (see ``RULES`` and
+# ``CLASSIFIERS``); those of EQ, GARRETT and the rows of ``IMPLICATIONS``
+# by the checks in ``VALIDATORS``.  A tampered certificate fails.
 
 
 class CertificateError(ValueError):
@@ -1344,15 +1396,12 @@ def _premise_terms(q, node, s, t):
     return (qt if q["s"] == q["t"] else _premise_term(q["s"], node, s, t)), qt
 
 
-def _premise_triple(q, node, t):
-    return (*_premise_terms(q, node, t, t), q["answer"])
-
-
 def _certifies(q, node, t, claim, answer) -> bool:
     """The premise q of the node whose subject is t is a classification
     node certifying that t's field ``claim`` answers ``answer``."""
-    return (q["rule"] in CLASSIFIERS and q.get("claim") == claim
-            and _premise_triple(q, node, t) == (t, t, answer))
+    return (q["rule"] in _CLASSIFICATIONS and q.get("claim") == claim
+            and q["answer"] == answer
+            and _premise_terms(q, node, t, t) == (t, t))
 
 
 def _v_eq(node, s, t):
@@ -1379,133 +1428,10 @@ def _v_garrett(node, s, t):
     )
 
 
-def _v_c_ord(node, t, swap=False):
-    val = co_ordinal(t) if swap else pure_ordinal(t)
-    _expect(val is not None, "not an ordinal")
-    _expect(node["instantiation"] == {"ordinal": str(val)}, "ordinal value")
-    want = _ordinal_flags(val, swap).get(node["claim"])
-    _expect(want == node["answer"], "flag answer")
-
-
-def _v_c_double(node, t):
-    _expect(node["answer"] == YES, "answer")
-    _expect(_prem_triples(node) == [(_sumify([t, t]), t, YES)], "premises")
-
-
-def _v_c_sides(node, t):
-    _expect(node["answer"] == NO, "answer")
-    l = _p(node["instantiation"]["left"])
-    r = _p(node["instantiation"]["right"])
-    _expect((l, r) in term_cuts(t), "not a cut")
-    _expect(_prem_triples(node) == [(t, l, NO), (t, r, NO)], "premises")
-
-
-def _v_c_square(node, t):
-    _expect(node["answer"] == YES, "answer")
-    _expect(
-        _prem_triples(node) == [(normalize(Prod(t, t)), t, YES)], "premises"
-    )
-
-
-def _v_c_homog(node, t):
-    inst, prem = node["instantiation"], node["premises"]
-    if node["answer"] == NO:
-        size = facts(t).size
-        _expect(size is not None and size >= 3, "finite bound")
-        _expect(inst == {"finite": size} and not prem, "instantiation")
-    elif inst:
-        c = _p(inst["transfer"])
-        _expect(list(inst) == ["transfer"] and c in _HOMOGENEOUS,
-                "transfer target not catalogued")
-        _expect(len(prem) == 1 and prem[0]["rule"] == "EQ"
-                and _premise_triple(prem[0], node, t) == (t, c, YES),
-                "needs equimorphism")
-    else:
-        _expect(t in _HOMOGENEOUS and not prem, "not catalogued")
-
-
-def _v_c_homog_scat(node, t):
-    _expect(node["answer"] == NO, "answer")
-    f = facts(t)
-    _expect(f.size is None and f.scattered, "not infinite scattered")
-
-
-def _product_inst(node):
-    psi = _p(node["instantiation"]["psi"])
-    tau = _p(node["instantiation"]["tau"])
-    return psi, tau, normalize(Prod(psi, tau))
-
-
-def _v_c_sutr_no(node, t):
-    _expect(node["answer"] == NO, "answer")
-    psi, tau, prod = _product_inst(node)
-    _expect(
-        _prem_triples(node) == [(t, prod, YES), (t, psi, NO), (t, tau, NO)],
-        "premises",
-    )
-
-
-def _v_c_cat_lambda(node, t):
-    _expect(node["answer"] == YES and isinstance(t, Lambda), "shape")
-
-
-def _v_c_lambda_pc(node, t):
-    _expect(node["answer"] == NO and isinstance(t, Lambda), "shape")
-    _expect("AC" in node["axioms"], "missing AC tag")
-
-
-def _v_c_sierpinski(node, t):
-    _expect(node["answer"] == NO, "answer")
-    _expect(not facts(t).countable, "countable")
-    _expect("AC" in node["axioms"], "missing AC tag")
-    _expect(_prem_triples(node) == [(t, LAMBDA, YES)], "premises")
-
-
-def _v_c_pc_no(node, t):
-    _expect(node["answer"] == NO, "answer")
-    prod = _product_inst(node)[2]
-    _expect(_prem_triples(node) == [(prod, t, NO)], "premises")
-
-
-def _v_c_side_cut(node, t):
-    _expect(node["answer"] == NO, "answer")
-    part = _p(node["instantiation"]["part"])
-    k = _STRICT_SIDES.index(node["claim"])
-    _expect(any(cut[k] == part for cut in term_cuts(t)),
-            "part is not a cut side")
-    _expect(_prem_triples(node) == [(t, part, NO)], "premises")
-
-
-def _v_c_trich_excl(node, t):
-    # the trichotomy: for an indecomposable t other than 0 and 1
-    # exactly one of t+t <= t, strictly left and strictly right holds
-    _expect(t not in _NO_TRICHOTOMY, "no trichotomy for 0 and 1")
-    (other,) = [f for f in _STRICT_SIDES if f != node["claim"]]
-    prem = node["premises"]
-    double = (_sumify([t, t]), t)
-    if node["answer"] == YES:
-        _expect(len(prem) == 3, "premise count")
-        _expect(_premise_triple(prem[0], node, t) == double + (NO,),
-                "t+t <= t must fail")
-        _expect(_certifies(prem[1], node, t, other, NO),
-                "the other side must fail")
-        _expect(_certifies(prem[2], node, t, "indecomposable", YES),
-                "t must be indecomposable")
-    else:
-        _expect(len(prem) == 1, "premise count")
-        _expect(_premise_triple(prem[0], node, t) == double + (YES,)
-                or _certifies(prem[0], node, t, other, YES),
-                "needs another alternative")
-
-
-def _v_c_geom(node, t):
-    _expect(node["answer"] == YES, "answer")
-    _expect(isinstance(t, (GeomOmega, GeomOmegaStar)), "shape")
-
-
-def _v_implication(node, t):
+def _v_implication(node, s, t):
     """A step of ``IMPLICATIONS``, forward or by contrapositive, from
     one premise certifying the field the step starts from."""
+    _expect(node["s"] == node["t"], "a classification has one subject")
     answer, claim = node["answer"], node["claim"]
     _expect(len(node["premises"]) == 1, "premise count")
     (q,) = node["premises"]
@@ -1568,51 +1494,62 @@ RULES = {
 
 DEFAULT_RULE_ORDER = tuple(RULES)
 
-VALIDATORS = {"EQ": _v_eq, "GARRETT": _v_garrett}
-
-
-# The classification rules: name -> (the profile fields a node of the
-# rule may claim, check(node, t)).  A node of one of them certifies
-# that its claim field of a single term, its s and t, answers YES/NO.
-CLASSIFIERS = {
-    "C-ORD": (PROFILE_FIELDS, lambda n, t: _v_c_ord(n, t, swap=False)),
-    "C-ORD-REV": (PROFILE_FIELDS, lambda n, t: _v_c_ord(n, t, swap=True)),
-    "C-DOUBLE": (("indecomposable", "sum_closed"), _v_c_double),
-    "C-SIDES": (("indecomposable",), _v_c_sides),
-    "C-SC-NO": (("sum_closed",), _v_c_sides),
-    "C-SQUARE": (("s_untranscendable", "product_closed"), _v_c_square),
-    "C-HOMOG": (("homogeneous",), _v_c_homog),
-    "C-HOMOG-SCAT": (("homogeneous",), _v_c_homog_scat),
-    "C-SUTR-NO": (("s_untranscendable",), _v_c_sutr_no),
-    "C-GEOM": (("untranscendable",), _v_c_geom),
-    "C-CAT-LAMBDA": (("untranscendable",), _v_c_cat_lambda),
-    "C-LAMBDA-PC": (("product_closed",), _v_c_lambda_pc),
-    "C-SIERPINSKI": (("strongly_indecomposable",), _v_c_sierpinski),
-    "C-PC-NO": (("product_closed",), _v_c_pc_no),
-    "C-SIDE-CUT": (_STRICT_SIDES, _v_c_side_cut),
-    "C-TRICH-EXCL": (_STRICT_SIDES, _v_c_trich_excl),
-    **{name: (tuple(f for row in IMPLICATIONS if row[0] == name
-                    for f in row[1:3]), _v_implication) for name in _IMPLIED},
-}
+# The checks of the rules that replay does not run a step of: name ->
+# check(node, s, t).
+VALIDATORS = {"EQ": _v_eq, "GARRETT": _v_garrett,
+              **{name: _v_implication for name in _IMPLIED}}
 
 
 class _Premises:
-    """The engine a recursive rule's search runs against in replay: each
+    """The engine a rule's search or step runs against in replay: each
     goal that is an embedding premise of one node gets that premise's
-    answer and certificate, and every other goal UNKNOWN.  A rule stays
-    sound when a goal answers UNKNOWN, so this cannot make it unsound.
-    Choice is allowed; a node that used it must carry the AC tag the
-    search then adds."""
+    answer and certificate, each pair an EQ premise is about gets that
+    premise's, and every other goal UNKNOWN.  A rule stays sound when a
+    goal answers UNKNOWN, so this cannot make it unsound.  Choice is
+    allowed; a node that used it must carry the AC tag the search then
+    adds."""
 
     use_choice = True
 
     def __init__(self, premises):
         # premises: (node, s, t) of each premise, its terms parsed
-        self._verdicts = {(s, t): Verdict(q["answer"], q)
-                          for q, s, t in premises if q["rule"] in RULES}
+        self._verdicts = {}
+        self._equimorphisms = {}
+        for q, s, t in premises:
+            if q["rule"] in RULES:
+                self._verdicts[(s, t)] = Verdict(q["answer"], q)
+            elif q["rule"] == "EQ":
+                self._equimorphisms[(s, t)] = Verdict(q["answer"], q)
 
-    def _embeds(self, s, t, depth):
+    def embeds(self, s, t, depth=None):
         return self._verdicts.get((s, t), UNK)
+
+    _embeds = embeds
+
+    def equimorphic(self, s, t):
+        return self._equimorphisms.get((s, t), UNK)
+
+
+class _PremiseProfile:
+    """The profile a classification step runs against in replay: each
+    field a classification premise of the node certifies about t holds
+    that premise, and every other field UNKNOWN.  ``set`` records the
+    node it certifies, and applies no ``IMPLICATIONS``; it never raises."""
+
+    def __init__(self, t, premises):
+        self.t = t
+        self.fields = dict.fromkeys(PROFILE_FIELDS, UNK)
+        for q, qs, qt in premises:
+            if (q["rule"] in _CLASSIFICATIONS and qs is t and qt is t
+                    and q.get("claim") in self.fields):
+                self.fields[q["claim"]] = Verdict(q["answer"], q)
+        self.made = []
+
+    def set(self, field, answer, rule, inst=None, premises=(), axioms=()):
+        v = _cert(answer, rule, self.t, self.t, inst, premises, axioms,
+                  claim=field)
+        self.fields[field] = v
+        self.made.append(v)
 
 
 def replay_certificate(node: dict) -> bool:
@@ -1629,12 +1566,12 @@ def replay_certificate(node: dict) -> bool:
     among them), its pieces and cuts (deep and shallow), and
     the powers of a geometric base, each one normalizer step from the
     one before (``_npow``), which the search may have computed before the
-    replay.  It trusts each rule:
-    each side-condition rule's ``decide``, each recursive rule's search
-    run for one step against the node's premises, the checks of
-    ``CLASSIFIERS`` and ``VALIDATORS``, and ``IMPLICATIONS``.  It does not
-    trust how the search used the rules: the memo, cycle cuts, UNKNOWN
-    reuse, the depth bound and the rule order play no part in replay.
+    replay.  It trusts each rule: each side-condition rule's ``decide``,
+    each recursive rule's search and each classification step of
+    ``CLASSIFIERS`` run once against the node's premises, the checks of
+    ``VALIDATORS``, and ``IMPLICATIONS``.  It does not trust how the
+    search used the rules: the memo, cycle cuts, UNKNOWN reuse, the
+    depth bound and the rule order play no part in replay.
     The tree is walked depth first with an explicit stack, so a deep
     certificate ends in True or False, never in a RecursionError, and a
     node that is its own premise, directly or further down, is rejected."""
@@ -1680,13 +1617,16 @@ def _replay(node: dict, s: Term, t: Term):
                     "premises or axiom tags")
         return prem
     if rule in CLASSIFIERS:
-        fields, check = CLASSIFIERS[rule]
-        _expect(node.get("claim") in fields, "claim")
-        _expect(node["s"] == node["t"], "a classification has one subject")
-        check(node, t)
-    else:
-        _expect(rule in VALIDATORS, f"unknown rule {rule!r}")
-        VALIDATORS[rule](node, s, t)
+        # the step's node about t must be the node, exactly
+        b = _PremiseProfile(t, prem)
+        CLASSIFIERS[rule](_Premises(prem), b)
+        claim = node.get("claim")
+        _expect(any(v._node["claim"] == claim and v.certificate == node
+                    for v in b.made),
+                "the rule's step does not derive the node from its premises")
+        return prem
+    _expect(rule in VALIDATORS, f"unknown rule {rule!r}")
+    VALIDATORS[rule](node, s, t)
     _expect(all(ax in node["axioms"] for q, _, _ in prem for ax in q["axioms"]),
             "a premise's axiom tag is missing")
     return prem

@@ -1,5 +1,6 @@
 """Shared generators and helpers for the test suite."""
 
+import json
 import random
 
 from ordtypes import terms as tm
@@ -78,3 +79,16 @@ REGRESSION_CORPUS = (
     "geom(w)", "geomrev(w)",
     "w + 1", "w*2", "w~ + w",
 )
+
+
+def distinct_nodes(certificates):
+    """The distinct nodes of the certificates, nested ones included."""
+    seen, nodes = set(), {}
+    todo = list(certificates)
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.setdefault(json.dumps(node, sort_keys=True), node)
+            todo.extend(node["premises"])
+    return list(nodes.values())

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ordtypes.engine import (
+    CLASSIFIERS,
     DEFAULT_RULE_ORDER,
     Engine,
     IMPLICATIONS,
@@ -28,7 +29,7 @@ from ordtypes.terms import (
     reverse_term,
 )
 
-from helpers import REGRESSION_CORPUS, T, rand_ordinal
+from helpers import REGRESSION_CORPUS, T, distinct_nodes, rand_ordinal
 
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 
@@ -298,19 +299,6 @@ def _corruptions(node, eng):
                 yield dict(node, claim=field)
 
 
-def _distinct_nodes(certificates):
-    """The distinct nodes of the certificates, nested ones included."""
-    seen, nodes = set(), {}
-    todo = list(certificates)
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.setdefault(json.dumps(node, sort_keys=True), node)
-            todo.extend(node["premises"])
-    return list(nodes.values())
-
-
 @pytest.fixture(scope="module")
 def seed23_verdicts():
     """[(rule order, {(s, t): verdict})] for the three rule orders drawn
@@ -357,13 +345,28 @@ def rule_nodes(eng, seed23_verdicts):
         v = Engine(rule_order=order).embeds(T(s), T(t))
         assert v.certificate["rule"] == rule, (s, t)
         verdicts.append(v)
-    nodes = _distinct_nodes(v.certificate for v in verdicts if v.decided)
+    nodes = distinct_nodes(v.certificate for v in verdicts if v.decided)
     return [n for n in nodes if n["rule"] in RULES]
 
 
 def test_every_rule_node_replays(rule_nodes):
     assert {n["rule"] for n in rule_nodes} == set(RULES)
     for node in rule_nodes:
+        assert replay_certificate(node), json.dumps(node)[:400]
+
+
+def test_every_classification_rule_node_replays(eng):
+    # the corpus profiles reach every step rule and every row name of
+    # the implication table, and both answers of the trichotomy
+    verdicts = [getattr(eng.classify_type(T(x)), f)
+                for x in REGRESSION_CORPUS for f in PROFILE_FIELDS]
+    nodes = [n for n in distinct_nodes(v.certificate for v in verdicts
+                                       if v.decided) if "claim" in n]
+    rules = set(CLASSIFIERS) | {row[0] for row in IMPLICATIONS}
+    assert len(rules) == 16 + 7
+    assert {n["rule"] for n in nodes} == rules
+    assert {n["answer"] for n in nodes if n["rule"] == "C-TRICH-EXCL"} == {YES, NO}
+    for node in nodes:
         assert replay_certificate(node), json.dumps(node)[:400]
 
 
@@ -447,6 +450,18 @@ def test_premises_about_other_terms_rejected(eng):
                         [cert("w + 1 + w + 1", "w + 1"),
                          w_plus_1.strictly_indec_right.certificate]),
     ]
+    # q is product-closed (C-SQUARE): r does not embed in q, but r is not
+    # below q, so r*1 <= q failing refutes nothing
+    assert q.product_closed.is_yes
+    forged.append(_classification("q", NO, "C-PC-NO", "product_closed",
+                                  [cert("r", "q")]))
+    forged[-1]["instantiation"] = {"psi": "r", "tau": "1"}
+    # a refutation of product-closure needs psi and tau strictly below t:
+    # the genuine node for geomrev(w) with one of its four gates dropped
+    pc = profiles["geomrev(w)"].product_closed.certificate
+    assert pc["rule"] == "C-PC-NO" and len(pc["premises"]) == 5
+    forged += [dict(pc, premises=pc["premises"][:i] + pc["premises"][i + 1:])
+               for i in range(4)]
     # GARRETT's first premise must certify s-untranscendability, not
     # another field of the same term
     wq = profiles["w*q"]
