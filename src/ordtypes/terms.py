@@ -689,44 +689,13 @@ def print_term(t: Term, level: int = 0) -> str:
     from the children's stored texts, and kept on the node (``_text``);
     a higher level adds the brackets the node's class needs there: a sum
     at levels 1 and 2, a product at level 2, and an ordinal leaf by the
-    ``+`` or ``*`` in its text."""
+    ``+`` or ``*`` in its text.  A product's left factor is printed in
+    product context, so a chain of powers prints without brackets: the
+    parser reads ``*`` left-associatively."""
     s = t._text
     if s is None:
-        # rendered here, not in a helper, so that a first render of a
-        # deep chain takes one stack frame per level
-        if isinstance(t, OrdLeaf):
-            s = str(t.value)
-        elif isinstance(t, RevOrd):
-            p = t.power
-            if p == OMEGA:
-                s = "w~"
-            elif len(p.terms) == 1 and p.terms[0][1] == 1:
-                s = f"w^({p.terms[0][0]})~"
-            else:
-                raise AssertionError("RevOrd invariant violated")
-        elif isinstance(t, Zeta):
-            s = "z"
-        elif isinstance(t, Eta):
-            s = "q"
-        elif isinstance(t, Lambda):
-            s = "r"
-        elif isinstance(t, Sum):
-            s = " + ".join([print_term(p, 1) for p in t.parts])
-        elif isinstance(t, Prod):
-            s = f"{print_term(t.inner, 2)}*{print_term(t.index, 2)}"
-        elif isinstance(t, Rev):
-            s = f"{print_term(t.arg, 2)}~"
-        elif isinstance(t, (GeomOmega, GeomOmegaStar)):
-            name = "geom" if isinstance(t, GeomOmega) else "geomrev"
-            inner = print_term(t.base)
-            s = f"{name}({inner}, {t.start})" if t.start else f"{name}({inner})"
-        elif isinstance(t, SeqSumStar):
-            s = f"revsum({t.limit})"
-        elif isinstance(t, SeqSumRev):
-            s = f"revsum({t.limit})~"
-        else:
-            raise TypeError(f"cannot print {t!r}")
-        set_derived(t, "_text", s)
+        children_first(t, _printed_children, _printed, _print_step)
+        s = t._text
     if level and (
         isinstance(t, Sum)
         or (level >= 2 and isinstance(t, Prod))
@@ -734,6 +703,54 @@ def print_term(t: Term, level: int = 0) -> str:
     ):
         return f"({s})"
     return s
+
+
+def _printed(t: Term) -> bool:
+    return t._text is not None
+
+
+def _printed_children(t: Term) -> Tuple[Term, ...]:
+    """The children whose texts ``_print_step`` reads."""
+    return (t.arg,) if isinstance(t, Rev) else _reversed_children(t)
+
+
+def _print_step(t: Term) -> None:
+    """Render t's level-0 text from its children's stored texts, and
+    keep it."""
+    if isinstance(t, OrdLeaf):
+        s = str(t.value)
+    elif isinstance(t, RevOrd):
+        p = t.power
+        if p == OMEGA:
+            s = "w~"
+        elif len(p.terms) == 1 and p.terms[0][1] == 1:
+            s = f"w^({p.terms[0][0]})~"
+        else:
+            raise AssertionError("RevOrd invariant violated")
+    elif isinstance(t, Zeta):
+        s = "z"
+    elif isinstance(t, Eta):
+        s = "q"
+    elif isinstance(t, Lambda):
+        s = "r"
+    elif isinstance(t, Sum):
+        s = " + ".join([print_term(p, 1) for p in t.parts])
+    elif isinstance(t, Prod):
+        left = print_term(t.inner, 1 if isinstance(t.inner, Prod) else 2)
+        s = f"{left}*{print_term(t.index, 2)}"
+    elif isinstance(t, Rev):
+        s = f"{print_term(t.arg, 2)}~"
+    elif isinstance(t, (GeomOmega, GeomOmegaStar)):
+        name = "geom" if isinstance(t, GeomOmega) else "geomrev"
+        inner = print_term(t.base)
+        s = f"{name}({inner}, {t.start})" if t.start else f"{name}({inner})"
+    elif isinstance(t, SeqSumStar):
+        s = f"revsum({t.limit})"
+    elif isinstance(t, SeqSumRev):
+        s = f"revsum({t.limit})~"
+    else:
+        raise TypeError(f"cannot print {t!r}")
+    set_derived(t, "_text", s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import ordtypes
 from ordtypes.cli import run
 
 
@@ -202,3 +207,32 @@ def test_calls_that_reverse_a_chain_of_powers_end():
         assert code in (0, 1, 2), argv
     code, out, _ = run(["type", "embeds", "geomrev(z+1, 300)", "z*z"])
     assert (code, out.strip()) == (0, "NO")
+
+
+# Runs a CLI call and replays the certificate it prints; the output is
+# [exit code, stderr, answer, replayed].
+_CALL_AND_REPLAY = """
+import json, sys
+from ordtypes.cli import run
+from ordtypes.engine import replay_certificate
+code, out, err = run(sys.argv[1:])
+doc = json.loads(out)
+print(json.dumps([code, err, doc["answer"], replay_certificate(doc["certificate"])]))
+"""
+
+
+def test_certificates_that_name_high_powers_print_and_replay():
+    # a power of z prints as a bracket-free chain z*z*...*z, rendered on
+    # an explicit stack: the first render takes no stack frame per
+    # factor, and the text stays inside the parser's nesting bound.  Each
+    # call runs in a fresh interpreter, as z keeps its powers for the
+    # life of a process, and the whole-subtree oracles of
+    # test_interning recurse once per factor.
+    src = str(Path(ordtypes.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for s, t in (("z*z", "geom(z, 1020)"), ("z*z*z", "geom(z, 150)")):
+        argv = ["type", "embeds", "--json", s, t]
+        proc = subprocess.run([sys.executable, "-c", _CALL_AND_REPLAY, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert json.loads(proc.stdout) == [0, "", "YES", True], (s, t)

@@ -86,7 +86,8 @@ def _render(t, level=0):
         s = " + ".join(_render(p, 1) for p in t.parts)
         return f"({s})" if level >= 1 else s
     if isinstance(t, Prod):
-        s = f"{_render(t.inner, 2)}*{_render(t.index, 2)}"
+        left = _render(t.inner, 1 if isinstance(t.inner, Prod) else 2)
+        s = f"{left}*{_render(t.index, 2)}"
         return f"({s})" if level >= 2 else s
     if isinstance(t, Rev):
         return f"{_render(t.arg, 2)}~"
