@@ -299,8 +299,7 @@ def test_stored_data_is_what_a_fresh_computation_gives():
             if _nesting(text) <= terms.MAX_NESTING:
                 assert parse_normalized(text) is n, text
             else:
-                # a high power of a base that is no ordinal, such as z^150,
-                # prints one bracket per factor, past the parser's bound
+                # a text nested past the parser's bound is refused
                 with pytest.raises(terms.ParseError, match="nested deeper"):
                     parse_normalized(text)
         rev = n._rev() if isinstance(n._rev, weakref.ref) else n._rev
