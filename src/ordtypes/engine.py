@@ -78,13 +78,11 @@ class Verdict:
     printed too.  So the search prints no term, and a subgoal's
     certificate that nothing reads is never printed."""
 
-    __slots__ = ("answer", "_node", "frontier")
+    __slots__ = ("answer", "_node")
 
-    def __init__(self, answer: str, certificate: Optional[dict] = None,
-                 frontier: Tuple[str, ...] = ()):
+    def __init__(self, answer: str, certificate: Optional[dict] = None):
         self.answer = answer
         self._node = certificate
-        self.frontier = frontier
 
     @property
     def certificate(self) -> Optional[dict]:
@@ -935,8 +933,6 @@ class Engine:
         if unknown:
             raise ValueError(f"unknown rules: {sorted(unknown)}")
         self._searches = tuple(RULES[name][0] for name in self.rule_order)
-        # a goal searched to the end without a decision tried every rule
-        self._unknown = Verdict(UNKNOWN, None, self.rule_order)
         self._memo: Dict[Tuple[Term, Term], Verdict] = {}
         self._unknown_depth: Dict[Tuple[Term, Term], int] = {}
         # dependency sets of the stored UNKNOWNs that have one
@@ -989,7 +985,7 @@ class Engine:
         self._goals += 1
         self._active.add(key)
         try:
-            result = self._unknown
+            result = UNK
             for search in self._searches:
                 v = search(self, s, t, depth)
                 if v is not None:
@@ -1533,11 +1529,13 @@ class _Premises:
 class _PremiseProfile:
     """The profile a classification step runs against in replay: each
     field a classification premise of the node certifies about t holds
-    that premise, and every other field UNKNOWN.  ``set`` records the
-    node it certifies, and applies no ``IMPLICATIONS``; it never raises."""
+    that premise, and every other field UNKNOWN.  ``set`` applies no
+    ``IMPLICATIONS`` and never raises; it records the node it certifies
+    for the field ``claim``, and only the answer for another field."""
 
-    def __init__(self, t, premises):
+    def __init__(self, t, premises, claim):
         self.t = t
+        self.claim = claim
         self.fields = dict.fromkeys(PROFILE_FIELDS, UNK)
         for q, qs, qt in premises:
             if (q["rule"] in _CLASSIFICATIONS and qs is t and qt is t
@@ -1546,10 +1544,13 @@ class _PremiseProfile:
         self.made = []
 
     def set(self, field, answer, rule, inst=None, premises=(), axioms=()):
-        v = _cert(answer, rule, self.t, self.t, inst, premises, axioms,
-                  claim=field)
+        if field == self.claim:
+            v = _cert(answer, rule, self.t, self.t, inst, premises, axioms,
+                      claim=field)
+            self.made.append(v)
+        else:
+            v = Verdict(answer)
         self.fields[field] = v
-        self.made.append(v)
 
 
 def replay_certificate(node: dict) -> bool:
@@ -1618,11 +1619,9 @@ def _replay(node: dict, s: Term, t: Term):
         return prem
     if rule in CLASSIFIERS:
         # the step's node about t must be the node, exactly
-        b = _PremiseProfile(t, prem)
+        b = _PremiseProfile(t, prem, node.get("claim"))
         CLASSIFIERS[rule](_Premises(prem), b)
-        claim = node.get("claim")
-        _expect(any(v._node["claim"] == claim and v.certificate == node
-                    for v in b.made),
+        _expect(any(v.certificate == node for v in b.made),
                 "the rule's step does not derive the node from its premises")
         return prem
     _expect(rule in VALIDATORS, f"unknown rule {rule!r}")

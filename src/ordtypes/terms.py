@@ -689,9 +689,9 @@ def print_term(t: Term, level: int = 0) -> str:
     from the children's stored texts, and kept on the node (``_text``);
     a higher level adds the brackets the node's class needs there: a sum
     at levels 1 and 2, a product at level 2, and an ordinal leaf by the
-    ``+`` or ``*`` in its text.  A product's left factor is printed in
-    product context, so a chain of powers prints without brackets: the
-    parser reads ``*`` left-associatively."""
+    ``+`` or ``*`` in its text.  A product's left factor that is itself
+    a product prints bare, as the parser reads ``*`` left-associatively,
+    so a chain of powers prints without brackets."""
     s = t._text
     if s is None:
         children_first(t, _printed_children, _printed, _print_step)

@@ -453,9 +453,9 @@ def test_premises_about_other_terms_rejected(eng):
     # q is product-closed (C-SQUARE): r does not embed in q, but r is not
     # below q, so r*1 <= q failing refutes nothing
     assert q.product_closed.is_yes
-    forged.append(_classification("q", NO, "C-PC-NO", "product_closed",
-                                  [cert("r", "q")]))
-    forged[-1]["instantiation"] = {"psi": "r", "tau": "1"}
+    forged.append(dict(_classification("q", NO, "C-PC-NO", "product_closed",
+                                       [cert("r", "q")]),
+                       instantiation={"psi": "r", "tau": "1"}))
     # a refutation of product-closure needs psi and tau strictly below t:
     # the genuine node for geomrev(w) with one of its four gates dropped
     pc = profiles["geomrev(w)"].product_closed.certificate
