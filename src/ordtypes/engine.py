@@ -707,8 +707,9 @@ def _step_ordinal(engine, b):
     a = pure_ordinal(b.t)
     rule, val = ("C-ORD", a) if a is not None else ("C-ORD-REV", co_ordinal(b.t))
     if val is not None:
+        text = str(val)
         for field, answer in _ordinal_flags(val, a is None).items():
-            b.set(field, answer, rule, {"ordinal": str(val)})
+            b.set(field, answer, rule, {"ordinal": text})
 
 
 def _step_double(engine, b):
