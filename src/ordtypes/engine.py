@@ -1510,13 +1510,10 @@ class _Premises:
 
     def __init__(self, premises):
         # premises: (node, s, t) of each premise, its terms parsed
-        self._verdicts = {}
-        self._equimorphisms = {}
-        for q, s, t in premises:
-            if q["rule"] in RULES:
-                self._verdicts[(s, t)] = Verdict(q["answer"], q)
-            elif q["rule"] == "EQ":
-                self._equimorphisms[(s, t)] = Verdict(q["answer"], q)
+        self._verdicts = {(s, t): Verdict(q["answer"], q)
+                          for q, s, t in premises if q["rule"] in RULES}
+        self._equimorphisms = {(s, t): Verdict(q["answer"], q)
+                               for q, s, t in premises if q["rule"] == "EQ"}
 
     def embeds(self, s, t, depth=None):
         return self._verdicts.get((s, t), UNK)
