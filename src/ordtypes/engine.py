@@ -1529,7 +1529,8 @@ class _PremiseProfile:
     field a classification premise of the node certifies about t holds
     that premise, and every other field UNKNOWN.  ``set`` applies no
     ``IMPLICATIONS`` and never raises; it records the node it certifies
-    for the field ``claim``, and only the answer for another field."""
+    for the field ``claim``, and only the answer for another field: no
+    step cites a field it has set itself."""
 
     def __init__(self, t, premises, claim):
         self.t = t
