@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ordtypes
 from ordtypes.engine import (
     CLASSIFIERS,
     DEFAULT_RULE_ORDER,
@@ -319,7 +324,8 @@ def seed23_verdicts():
 # one pair for each rule that the corpus certificates under the default
 # and seed-23 orders do not reach, asked of a fresh engine whose order
 # puts that rule first (under the default order R-STRUCT refutes every
-# goal that R-BLOCK-UNBOUNDED refutes, and comes first)
+# goal that R-BLOCK-UNBOUNDED refutes, and comes first), and one for
+# R-SEP-SUM's "strong" variant, which they do not reach either
 MISSING_RULE_PAIRS = {
     "R-DENSE-ABS": ("r + r", "r"),
     "R-PROD-SUMFOLD": ("w~ + w~ + w~ + w~", "z*z"),
@@ -328,6 +334,7 @@ MISSING_RULE_PAIRS = {
     "R-GEOM-PROD": ("geomrev(w)", "w^(w)*w~"),
     "R-LAMBDA-SEP": ("r*r", "r"),
     "R-BLOCK-UNBOUNDED": ("w~ + w~", "geomrev(w)"),
+    "R-SEP-SUM": ("r", "q"),
 }
 
 
@@ -351,6 +358,8 @@ def rule_nodes(eng, seed23_verdicts):
 
 def test_every_rule_node_replays(rule_nodes):
     assert {n["rule"] for n in rule_nodes} == set(RULES)
+    assert {n["instantiation"]["variant"] for n in rule_nodes
+            if n["rule"] == "R-SEP-SUM"} == {"plain", "strong", "join"}
     for node in rule_nodes:
         assert replay_certificate(node), json.dumps(node)[:400]
 
@@ -595,3 +604,139 @@ def test_choice_axiom_tagged(eng):
     # without choice the engine withholds that classification
     restricted = Engine(use_choice=False)
     assert not restricted.classify_type(T("r")).product_closed.decided
+
+
+# R-SEP-SUM's join: s <= t from a cut (phi, psi) of s and a cut
+# (tau, rho) of t with phi <= tau and psi <= rho YES
+
+
+def _join_nodes(certificates):
+    return [n for n in distinct_nodes(certificates)
+            if n["rule"] == "R-SEP-SUM"
+            and n["instantiation"]["variant"] == "join"]
+
+
+def test_join_decides_z_below_geomrev_w(eng):
+    # z and w~ + w (which normalizes to z) are the corpus terms whose
+    # embedding into geomrev(w) only a split of z at its cut proves
+    for s in ("z", "w~ + w"):
+        v = eng.embeds(T(s), T("geomrev(w)"))
+        assert v.is_yes, s
+        assert _join_nodes([v.certificate]), s
+        assert replay_certificate(v.certificate), s
+
+
+def test_join_mutants_rejected(eng):
+    v = eng.embeds(T("z"), T("geomrev(w)"))
+    (node,) = _join_nodes([v.certificate])
+    assert replay_certificate(node)
+    inst, prem = node["instantiation"], node["premises"]
+    refuted = eng.embeds(T("w"), T("w~")).certificate
+    assert refuted["answer"] == NO
+    mutants = [dict(node, answer=NO), dict(node, premises=prem[::-1])]
+    for key in ("s_cut", "t_cut"):
+        for shift in (-1, 1):
+            mutants.append(dict(node, instantiation=dict(
+                inst, **{key: inst[key] + shift})))
+    for i in range(2):
+        for bad in (dict(prem[i], answer=NO), refuted):
+            mutants.append(dict(node, premises=prem[:i] + [bad] + prem[i + 1:]))
+    for bad in mutants:
+        assert not replay_certificate(bad), json.dumps(bad)[:400]
+
+
+def test_join_never_splits_a_sum(rule_nodes):
+    # z + 1 <= z + 2 joins at (z, 1) and (z, 2), but s is a Sum.  Fresh
+    # engines: the session engine would keep z + 1 alive, and with it
+    # any powers of z + 1 a CLI test built, which the whole-subtree
+    # oracles of test_interning cannot walk
+    s, t = T("z + 1"), T("z + 2")
+    assert isinstance(s, Sum) and Engine().embeds(s, t).is_yes
+    assert Engine()._rule_r_sep_sum(s, t, 8) is None
+    assert Engine()._rule_r_sep_sum(T("z"), T("geomrev(w)"), 8) is not None
+    joins = _join_nodes(rule_nodes)
+    assert joins
+    assert not any(isinstance(parse_normalized(n["s"]), Sum) for n in joins)
+
+
+def test_decided_goals_leave_no_unknown_entry():
+    # under the second seed-23 order, the search of r <= r stores
+    # 2 + r <= r as a conditional UNKNOWN; asking the conditional goals
+    # again at top level decides it YES, and its UNKNOWN entries must go
+    # with the decision
+    rng = random.Random(23)
+    for _ in range(2):
+        order = list(DEFAULT_RULE_ORDER)
+        rng.shuffle(order)
+    other = Engine(rule_order=order)
+    assert other.embeds(T("r"), T("r")).is_yes
+    goal = (T("2 + r"), T("r"))
+    conditional = list(other._unknown_deps)
+    assert goal in conditional
+    for s, t in conditional:
+        other.embeds(s, t, depth=other._unknown_depth.get((s, t), other.depth))
+    assert other._memo[goal].is_yes
+    stale = [key for key in other._memo
+             if key in other._unknown_depth or key in other._unknown_deps]
+    assert not stale, stale[:5]
+
+
+def _in_fresh_interpreter(code):
+    """The JSON that code prints, run in a fresh interpreter.  A test
+    that builds high powers of a term runs so: the base keeps its powers
+    for the life of a process, and the whole-subtree oracles of
+    test_interning walk every live node."""
+    src = str(Path(ordtypes.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+def test_corpus_and_geom_z_plus_1_searches_stay_small():
+    # the default order decides every corpus pair ...
+    fresh = Engine()
+    unknown = [(s, t) for s in REGRESSION_CORPUS for t in REGRESSION_CORPUS
+               if not fresh.embeds(T(s), T(t)).decided]
+    assert not unknown, unknown
+    # ... and classifies geom(z+1, 25) in a few thousand goals (28,059
+    # without the join).  Its certificates are not read: one names a
+    # power of z+1 whose printed form is about 200 MB long.
+    stats = _in_fresh_interpreter("""
+import json
+from ordtypes.engine import Engine
+from ordtypes.terms import parse_normalized
+engine = Engine()
+engine.classify_type(parse_normalized("geom(z+1, 25)"))
+print(json.dumps(engine.search_stats()))
+""")
+    assert stats["goals"] < 5000, stats
+
+
+def test_replay_of_cuts_past_the_power_cap_is_false():
+    # the cuts of geom(z, 1024) name z^1025, past MAX_POWER
+    assert _in_fresh_interpreter("""
+import json
+from ordtypes.engine import replay_certificate
+nodes = [{"answer": "NO", "rule": rule, "s": "geom(z, 1024)",
+          "t": "geom(z, 1024)", "instantiation": {}, "premises": [],
+          "axioms": []} for rule in ("R-SEP-SUM", "C-SIDE-CUT")]
+nodes[1]["claim"] = "strictly_indec_left"
+print(json.dumps([replay_certificate(node) for node in nodes]))
+""") == [False, False]
+
+
+def test_eq_no_premise_must_be_the_failed_direction(eng):
+    # geomrev(w) and w^(w) embed neither way; the forward refutation is
+    # not certified by the backward one
+    v = eng.equimorphic(T("geomrev(w)"), T("w^(w)"))
+    node = v.certificate
+    assert node["answer"] == NO
+    assert node["instantiation"] == {"failed": "forward"}
+    assert replay_certificate(node)
+    backward = eng.embeds(T("w^(w)"), T("geomrev(w)")).certificate
+    assert backward["answer"] == NO
+    assert not replay_certificate(dict(node, premises=[backward]))
+    assert replay_certificate(dict(node, instantiation={"failed": "backward"},
+                                   premises=[backward]))
