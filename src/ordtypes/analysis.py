@@ -76,6 +76,90 @@ geometric sum is infinite, so its rank rho is at least 1:
   infinitely many classes at stage r - 1.  Every initial segment holds
   a tail of the sum, of rank r, so the initial rank is r + 1.
   ``revsum(a)~`` mirrors it.
+
+Two more ordinal invariants of a scattered term, also None for a term
+that is not scattered.  The ordinals that embed in t form an initial
+segment W(t) of the ordinals, as a suborder of an ordinal is of no
+greater type, so each is its least ordinal not in the segment:
+
+- ``ordinal_bound``: the least ordinal that does not embed in t;
+- ``rev_ordinal_bound``: the least alpha whose reverse does not embed in
+  t, that is the ``ordinal_bound`` of t reversed.
+
+An embedding s -> t carries W(s) into W(t), so both are monotone under
+embedding (``R-STRUCT``), and alpha <= t exactly when alpha is below
+t's ``ordinal_bound`` (``R-ORD``; ``R-CO-ORD`` for a reversed alpha).
+The rules that give them, each read off how a copy of an ordinal alpha
+meets the parts of t:
+
+- a + b: W(a + b) = {beta + gamma : beta in W(a), gamma in W(b)}, as
+  the points of alpha in a form an initial segment beta of alpha.
+- a*b: W(a*b) = {sum_{i<delta} alpha_i : delta in W(b), 0 < alpha_i in
+  W(a)}: the copies alpha meets are a suborder delta of b, and alpha
+  meets each in a nonzero alpha_i.
+- geom(b), the blocks b^n ascending: an w-sum with one ordinal per
+  block, W = {sum_n alpha_n : alpha_n in W(b^n)}.
+- geomrev(b) and revsum(a), blocks along w*: a well-ordered set of
+  blocks in w* is finite, so alpha meets finitely many blocks.
+- the leaves: alpha + 1 for an ordinal alpha, whose reversed suborders
+  are finite (a bound w when alpha is infinite, alpha + 1 when not);
+  w^e~ holds only finite ordinals, bound w, and the reverses of the
+  ordinals up to w^e, bound w^e + 1; z holds w and w~ but not w + 1 or
+  its reverse, bound w + 1 both ways.
+
+Reversal maps a + b to b~ + a~, a*b to a~*b~, geom(b) to geomrev(b~) and
+revsum(a) to revsum(a)~, so each ``rev_ordinal_bound`` is the
+``ordinal_bound`` formula on the children's reversed bounds (and the
+parts of a sum in reverse order).  The formulas, with X, C >= 2 the
+bounds of a term's children (a nonempty order holds 0 and 1).  Write a
+nonzero ordinal as X = d + w^e, where w^e is the last term of its CNF
+taken once:
+
+- a sum: the bound of a + b is d + max(w^e, C), for X = d + w^e the
+  bound of a and C that of b.  For beta < X, beta + gamma ranges over
+  the ordinals below beta + C, so the bound is sup_{beta<X}(beta + C).
+  For beta = d + eta with eta < w^e: when C >= w^e, eta + C = C, so
+  every beta >= d gives d + C, and no beta gives more; when C < w^e,
+  eta + C < w^e, so every beta + C is below X and the bound is X.  Sums
+  of more parts fold from the left.
+- a product a*b, X the bound of a (X = d + w^e) and C = w*L + m that of
+  b (m finite): let G = max(d*w, X), the greatest w-sum of nonzero
+  ordinals below X (w copies of d; for d = 0, X = w^e and the sums stay
+  below it but reach it).  As W(a*b) is downward closed, only the
+  greatest sums count.  A sum of n >= 1 ordinals below X stays below
+  J(n) = d*(n-1) + X, and some such sum is at least any given ordinal
+  below J(n) (by the sum rule, n times; d's leading term absorbs what
+  follows the first d).  Cut delta = w*l + n into l blocks of w and n
+  ordinals: the sums over delta are at most G*l, and reach it, when n =
+  0, and otherwise stay below G*l + J(n) and come up to each ordinal
+  below it.  With delta < C, and J(n) rising to G, the
+  bound is G*L when m = 0, G*L + 1 when m = 1, and G*L + J(m - 1) when
+  m >= 2.  A sum over delta of ordinals below X is at most X*delta, so
+  the bound is at most X*C.
+- geom(b), X the bound of b: let P be the sup of the bounds P_n of the
+  blocks b^n (b^(n+1) = b^n*b).  For X = w (b infinite and free of w)
+  every block holds only finite ordinals, and P = w.  For X > w, P =
+  X^w = w^(lead(X)*w), where lead is the leading exponent: P_n <= X^n by
+  the last remark; and, with X = w*L + m (L >= 1), P_(n+1) >=
+  G(P_n)*L, where G(P_n) = w^(g_n) with g_n >= lead(P_n).  When lead(X)
+  >= 2, lead(L) >= 1 and 1 + lead(L) = lead(X), so the leading exponent
+  grows by lead(L) a power and reaches lead(L)*w = lead(X)*w.  When
+  lead(X) = 1, P_(n+1) is G(P_n)*L plus 0, 1 or J, no power of w (L >=
+  2 when m = 0), so g_(n+1) = lead(P_(n+1)) + 1 >= g_n + 1.  So the P_n
+  rise strictly to the power of w P, and a sum of ordinals below them
+  stays below P at each finite stage: the w-sums are at most P and,
+  with the alpha_n cofinal in P (for X = w, all 1), reach it.  The bound
+  is P + 1.
+- geomrev(b): alpha is a finite sum of ordinals each below some P_n;
+  finite sums of ordinals below the power of w P stay below it, and each
+  P_n is reached, so the bound is P (w for X = w, X^w for X > w).
+- revsum(a), a = h + w^g: the blocks are a[n] = h + x_n with x_n < w^g
+  rising to w^g (the canonical fundamental sequence), so a copy of
+  alpha in N + 1 blocks is at most a[N] + ... + a[0] = h*(N + 1) + x_0
+  when h > 0, as x_n + h = h; the bound is the sup, h*w.  When h = 0
+  the sums stay below a and the blocks reach it: the bound is a.  Both
+  are G(a) of the product rule.  Its reversed bound is w + 1: the
+  reversed blocks hold finite ordinals only, and their w-sum reaches w.
 """
 
 from __future__ import annotations
@@ -117,6 +201,8 @@ class Facts(NamedTuple):
     rank: Optional[Ordinal]
     final_rank: Optional[Ordinal]
     initial_rank: Optional[Ordinal]
+    ordinal_bound: Optional[Ordinal]
+    rev_ordinal_bound: Optional[Ordinal]
 
     @property
     def embeds_omega(self) -> bool:
@@ -150,8 +236,8 @@ def _facts(t: Term) -> Facts:
     """One step of the facts, on the stored facts of t's children."""
     n = total_count(t)
     order = _order_facts(t)
-    ranks = _ranks(t) if order[1] else (None, None, None)
-    return Facts(n != 0, None if n == inf else int(n), *order, *ranks)
+    ordinals = (*_ranks(t), *_bounds(t)) if order[1] else (None,) * 5
+    return Facts(n != 0, None if n == inf else int(n), *order, *ordinals)
 
 
 def _order_facts(t: Term):
@@ -280,6 +366,85 @@ def _ranks(t: Term):
         if isinstance(t, SeqSumStar):
             return r, r, r + ONE
         return r, r + ONE, r
+    raise TypeError(f"unexpected term {t!r}")
+
+
+_OMEGA_1 = OMEGA + ONE
+
+
+def _split_last(x: Ordinal):
+    """(d, w^e) with x = d + w^e, w^e the last term of x's CNF taken once."""
+    *head, (e, c) = x.terms
+    if c > 1:
+        head.append((e, c - 1))
+    return Ordinal(tuple(head)), Ordinal(((e, 1),))
+
+
+def _sum_bound(x: Ordinal, c: Ordinal) -> Ordinal:
+    """The ordinal bound of a + b, for x the bound of a and c that of b."""
+    d, last = _split_last(x)
+    return d + max(last, c)
+
+
+def _omega_sum(x: Ordinal) -> Ordinal:
+    """G(x): the greatest w-sum of nonzero ordinals below x >= 2."""
+    d, _ = _split_last(x)
+    return max(d * OMEGA, x)
+
+
+def _product_bound(x: Ordinal, c: Ordinal) -> Ordinal:
+    """The ordinal bound of a*b, for x the bound of a and c that of b."""
+    d, _ = _split_last(x)
+    m = c.finite_part
+    # c = w*L + m: L's exponents are c's, each less the leading 1
+    top = _omega_sum(x) * Ordinal(tuple((e - ONE, k)
+                                        for e, k in c.limit_part.terms))
+    if m <= 1:
+        return top + Ordinal.from_int(m)
+    return top + d * Ordinal.from_int(m - 2) + x
+
+
+def _powers_bound(x: Ordinal) -> Ordinal:
+    """P: the sup of the ordinal bounds of the powers of an infinite
+    order whose bound is x."""
+    return OMEGA if x <= OMEGA else x ** OMEGA
+
+
+def _bounds(t: Term):
+    """(ordinal_bound, rev_ordinal_bound) of the scattered normal form t,
+    one step from its children's facts (see the module docstring)."""
+    if isinstance(t, OrdLeaf):
+        up = t.value + ONE
+        return up, up if t.value.is_finite() else OMEGA
+    if isinstance(t, RevOrd):
+        return OMEGA, t.power + ONE
+    if isinstance(t, Zeta):
+        return _OMEGA_1, _OMEGA_1
+    if isinstance(t, Sum):
+        fs = [facts(p) for p in t.parts]
+        up = fs[0].ordinal_bound
+        for f in fs[1:]:
+            up = _sum_bound(up, f.ordinal_bound)
+        down = fs[-1].rev_ordinal_bound
+        for f in reversed(fs[:-1]):
+            down = _sum_bound(down, f.rev_ordinal_bound)
+        return up, down
+    if isinstance(t, Prod):
+        a, b = facts(t.inner), facts(t.index)
+        return (_product_bound(a.ordinal_bound, b.ordinal_bound),
+                _product_bound(a.rev_ordinal_bound, b.rev_ordinal_bound))
+    if isinstance(t, (GeomOmega, GeomOmegaStar)):
+        b = facts(t.base)
+        up = _powers_bound(b.ordinal_bound)
+        down = _powers_bound(b.rev_ordinal_bound)
+        if isinstance(t, GeomOmega):
+            return up + ONE, down
+        return up, down + ONE
+    if isinstance(t, (SeqSumStar, SeqSumRev)):
+        g = _omega_sum(t.limit)
+        if isinstance(t, SeqSumStar):
+            return g, _OMEGA_1
+        return _OMEGA_1, g
     raise TypeError(f"unexpected term {t!r}")
 
 

@@ -398,7 +398,8 @@ _HEREDITARY_FACTS = (
 )
 
 # the ordinal invariants of ``Facts`` that embedding never lowers
-_RANK_FACTS = ("rank", "final_rank", "initial_rank")
+_ORDINAL_FACTS = ("rank", "final_rank", "initial_rank", "ordinal_bound",
+                  "rev_ordinal_bound")
 
 
 def _sum_dp_plan(engine, sp, tp, i, j, depth, fail):
@@ -449,17 +450,37 @@ def _decide_refl(s, t):
 
 
 def _compare(a, b):
-    if a is None or b is None:
-        return None
     return (YES, {"cmp": "LE"}) if a <= b else (NO, {"cmp": "GT"})
 
 
+def _below(a, bound):
+    """a <= t YES for an ordinal a below ``bound``, the least ordinal
+    (or reversed ordinal) that does not embed in the scattered t."""
+    if bound is not None and a < bound:
+        return YES, {"bound": str(bound)}
+    return None
+
+
+# R-ORD and R-CO-ORD read s first: on most goals it is no (reversed)
+# ordinal, and the rule is done at once
 def _decide_ord(s, t):
-    return _compare(pure_ordinal(s), pure_ordinal(t))
+    a = pure_ordinal(s)
+    if a is None:
+        return None
+    b = pure_ordinal(t)
+    if b is not None:
+        return _compare(a, b)
+    return _below(a, facts(t).ordinal_bound)
 
 
 def _decide_co_ord(s, t):
-    return _compare(co_ordinal(s), co_ordinal(t))
+    a = co_ordinal(s)
+    if a is None:
+        return None
+    b = co_ordinal(t)
+    if b is not None:
+        return _compare(a, b)
+    return _below(a, facts(t).rev_ordinal_bound)
 
 
 def _decide_fin(s, t):
@@ -486,7 +507,7 @@ def _decide_struct(s, t):
         if getattr(ft, name) and not getattr(fs, name):
             return NO, {"fact": name}
     if fs.rank is not None and ft.rank is not None:
-        for name in _RANK_FACTS:
+        for name in _ORDINAL_FACTS:
             a, b = getattr(fs, name), getattr(ft, name)
             if b < a:
                 return NO, {"fact": name, "s": str(a), "t": str(b)}
@@ -1591,7 +1612,8 @@ def replay_certificate(node: dict) -> bool:
     kept on a node as computed once: its normal form and reverse, its
     point count, its printed text, which a node's ``s`` and ``t`` are
     compared by, its facts (the ordinal invariants R-STRUCT compares
-    among them), its pieces and cuts (deep and shallow), and
+    among them, and the bounds R-ORD and R-CO-ORD read), its
+    reversed-ordinal value, its pieces and cuts (deep and shallow), and
     the powers of a geometric base, each one normalizer step from the
     one before (``_npow``), which the search may have computed before the
     replay.  It trusts each rule: each side-condition rule's ``decide``,

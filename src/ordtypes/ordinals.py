@@ -10,7 +10,6 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Iterable, Optional, Tuple
 
 #: Default cap on CNF nesting depth; exceeding it raises CapacityError
@@ -22,15 +21,15 @@ class CapacityError(Exception):
     """Raised when a value would exceed the representable universe."""
 
 
-@total_ordering
 class Ordinal:
     """An ordinal below epsilon_0 in Cantor normal form."""
 
-    __slots__ = ("_terms", "_depth", "_hash")
+    __slots__ = ("_terms", "_depth", "_hash", "_key")
 
     _terms: Tuple[Tuple["Ordinal", int], ...]
     _depth: int
     _hash: Optional[int]  # the hash of _terms, once computed
+    _key: Optional[tuple]  # the comparison key, once computed
 
     def __init__(self, terms: Iterable[Tuple["Ordinal", int]] = ()):
         terms = tuple(terms)
@@ -52,6 +51,7 @@ class Ordinal:
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_depth", depth)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("Ordinal is immutable")
@@ -130,15 +130,34 @@ class Ordinal:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def _sort_key(self):
+        """The CNF as nested tuples, exponents by their keys: Python's
+        tuple order on keys is the ordinal order.  Kept once computed."""
+        k = self._key
+        if k is None:
+            k = tuple([(e._sort_key(), c) for e, c in self._terms])
+            object.__setattr__(self, "_key", k)
+        return k
+
     def __lt__(self, other):
         if not isinstance(other, Ordinal):
             return NotImplemented
-        for (e1, c1), (e2, c2) in zip(self._terms, other._terms):
-            if e1 != e2:
-                return e1 < e2
-            if c1 != c2:
-                return c1 < c2
-        return len(self._terms) < len(other._terms)
+        return self._sort_key() < other._sort_key()
+
+    def __le__(self, other):
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return self._sort_key() <= other._sort_key()
+
+    def __gt__(self, other):
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return self._sort_key() > other._sort_key()
+
+    def __ge__(self, other):
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return self._sort_key() >= other._sort_key()
 
     # -- arithmetic ---------------------------------------------------
 

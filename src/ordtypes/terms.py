@@ -5,7 +5,7 @@ Text grammar (whitespace insignificant)::
     expr  := sum
     sum   := prod ('+' prod)*
     prod  := unary ('*' unary)*
-    unary := atom ['~']
+    unary := atom '~'*      (at most MAX_NESTING '~' in a row)
     atom  := NAT | 'w' | 'z' | 'q' | 'r'
            | 'w' '^' '(' expr ')'
            | 'geom' '(' expr [',' NAT] ')'
@@ -48,8 +48,8 @@ from .ordinals import (
 
 # The slots of a node that hold its derived data, None until computed.
 _DERIVED = (
-    "_nf", "_rev", "_count", "_facts", "_pieces", "_cuts", "_shallow_cuts",
-    "_powers", "_text",
+    "_nf", "_rev", "_count", "_co", "_facts", "_pieces", "_cuts",
+    "_shallow_cuts", "_powers", "_text",
 )
 
 
@@ -62,7 +62,8 @@ class Term:
     once (hash-consing; Filliatre & Conchon, "Type-safe modular
     hash-consing", ML Workshop 2006).  The data derived from a node is
     kept in its slots, computed on first use, and dies with it: its
-    normal form, reverse, point count and printed form (here), its facts
+    normal form, reverse, point count, reversed-ordinal value
+    (``co_ordinal``) and printed form (here), its facts
     (``analysis.facts``), its pieces and cuts (``engine.term_pieces``,
     ``engine.term_cuts``) and, for the base of a geometric sum, its
     powers in normal form (``engine._npow``).
@@ -302,7 +303,18 @@ def pure_ordinal(t: Term) -> Optional[Ordinal]:
 
 
 def co_ordinal(t: Term) -> Optional[Ordinal]:
-    """If the reverse of t is a pure ordinal, that ordinal; else None."""
+    """If the reverse of t is a pure ordinal, that ordinal; else None.
+    Kept on the node (``_co``, False for None)."""
+    c = t._co
+    if c is None:
+        c = _co_ordinal(t)
+        set_derived(t, "_co", False if c is None else c)
+        return c
+    return None if c is False else c
+
+
+def _co_ordinal(t: Term) -> Optional[Ordinal]:
+    """One step of ``co_ordinal``, on the values kept on t's parts."""
     if isinstance(t, OrdLeaf):
         return t.value if t.value.is_finite() else None
     if isinstance(t, RevOrd):
@@ -582,9 +594,14 @@ def _reverse_normal(t: Term, revs=None) -> Term:
 
 
 def _normalize(t: Term) -> Term:
-    """One step of the normalizer, on the normal forms of t's parts."""
+    """One step of the normalizer, on the normal forms of t's parts.  A
+    chain of reversals, such as ``((x~)~)~`` parses to, is one step."""
     if isinstance(t, Rev):
-        return reverse_term(t.arg)
+        flips = 0
+        while isinstance(t, Rev):
+            t, flips = t.arg, flips + 1
+        n = normalize(t)
+        return _reverse(n) if flips % 2 else n
     if isinstance(t, Sum):
         return _norm_sum([normalize(p) for p in t.parts])
     if isinstance(t, Prod):
@@ -763,7 +780,8 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-#: The deepest nesting of brackets the parser accepts.
+#: The deepest nesting of brackets, and the longest run of ``~``, that
+#: the parser accepts.
 MAX_NESTING = 100
 
 
@@ -831,8 +849,12 @@ class _Parser:
 
     def parse_unary(self) -> Term:
         t = self.parse_atom()
+        run = 0
         while self.peek() == "~":
+            if run == MAX_NESTING:
+                raise ParseError(f"more than {MAX_NESTING} '~' in a row", self.pos)
             self.pos += 1
+            run += 1
             t = Rev(t)
         return t
 

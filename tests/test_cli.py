@@ -6,6 +6,7 @@ from pathlib import Path
 
 import ordtypes
 from ordtypes.cli import run
+from ordtypes.engine import replay_certificate
 
 
 def test_ord_cnf():
@@ -184,6 +185,25 @@ def test_deep_brackets_are_a_parse_error():
     assert code == 0 and out.strip() == "1"
 
 
+def test_long_runs_of_reversals_end():
+    # the parser bounds a run of '~' as it bounds brackets, and replay
+    # of a node that names a longer run is False, never a RecursionError
+    long = "1" + "~" * 3000
+    code, _, err = run(["type", "classify", long])
+    assert code == 1 and "'~' in a row" in err
+    node = {"answer": "YES", "rule": "R-REFL", "s": long, "t": long,
+            "instantiation": {}, "premises": [], "axioms": []}
+    assert replay_certificate(node) is False
+    # runs within the bound, also in every one of 99 nested brackets,
+    # normalize as one step
+    nested = "1"
+    for _ in range(99):
+        nested = f"({nested}{'~' * 100})"
+    for s, t in (("w" + "~" * 100, "w"), ("w" + "~" * 99, "w~"),
+                 (nested, "1")):
+        assert run(["type", "embeds", s, t])[:2] == (0, "YES\n"), s[:20]
+
+
 def test_geometric_sums_from_a_high_power_answer():
     # the pieces of these sums start at w^500, w^500~ and the 500-deep
     # Prod chain z^500, each power one step from the one before, its
@@ -214,6 +234,7 @@ def test_calls_that_reverse_a_chain_of_powers_end():
 _CALL_AND_REPLAY = """
 import json, sys
 from ordtypes.cli import run
+from ordtypes.engine import replay_certificate
 from ordtypes.engine import replay_certificate
 code, out, err = run(sys.argv[1:])
 doc = json.loads(out)

@@ -41,9 +41,9 @@ YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 
 # frozen verdicts (answer, rule) for characteristic pairs
 FROZEN_EMBEDS = {
-    ("w", "z"): (YES, "R-ABSORB"),
+    ("w", "z"): (YES, "R-ORD"),
     ("z", "w"): (NO, "R-STRUCT"),
-    ("w~", "z"): (YES, "R-ABSORB"),
+    ("w~", "z"): (YES, "R-CO-ORD"),
     ("q", "r"): (YES, "R-ETA-UNIV"),
     ("r", "q"): (NO, "R-CARD"),
     ("w^(2)", "w"): (NO, "R-ORD"),
@@ -254,8 +254,8 @@ def test_all_certificates_replay(eng):
 def test_certificates_are_rendered_when_read():
     # the search prints no term: a certificate keeps its terms as terms
     # until it is first read, and they are printed then, once
-    s, t = T("w^(731) + 17"), T("w^(731)*z")
-    piece = T("w^(731)*3")
+    s, t = T("w^(731)*z + 17"), T("w^(731)*z*z")
+    piece = T("w^(731)*z*3")
     v = Engine().embeds(s, t)
     assert v.is_yes
     assert s._text is None and t._text is None and piece._text is None

@@ -232,9 +232,108 @@ def _segment_rank(rs, k):
     return out
 
 
-def _facts(t):
-    """The facts of t, the end points by the point layer."""
+_W = terms.OMEGA_T.value
+
+
+def _power(e):
+    return Ordinal(((e, 1),))
+
+
+def _after(x, c):
+    """The least ordinal that is no beta + gamma with beta < x and gamma
+    < c: the sup of beta + c over beta < x."""
+    if x.is_successor():
+        return x.pred() + c
+    *head, (e, k) = x.terms
+    if c < _power(e):
+        return x
+    return Ordinal(tuple(head) + (((e, k - 1),) if k > 1 else ())) + c
+
+
+def _sums_below(x, c):
+    """The least ordinal that is no sum over delta < c of nonzero
+    ordinals below x."""
+    if x.is_successor():
+        # each summand is at most x - 1, and x - 1 in each reaches it
+        top = x.pred()
+        return top * c.pred() + _ONE if c.is_successor() else top * c
+    # a sum over w of ordinals below the limit x reaches at most g
+    lead = x.terms[0][0]
+    g = x if x.terms == ((lead, 1),) else _power(lead + _ONE)
+    blocks = Ordinal(tuple((e - _ONE, k) for e, k in c.limit_part.terms))
+    m = c.finite_part
+    if m <= 1:
+        return g * blocks + Ordinal.from_int(m)
+    rest = x  # sums of m - 1 ordinals below x
+    for _ in range(m - 2):
+        rest = _after(rest, x)
+    return g * blocks + rest
+
+
+def _bound(t, rev, memo):
+    """The least ordinal that does not embed in the scattered t, or, with
+    rev, whose reverse does not: the same for t reversed, by mirroring
+    t's structure, memoized by node in ``memo``."""
+    key = (t, rev)
+    if key in memo:
+        return memo[key]
+    if isinstance(t, OrdLeaf):
+        a = t.value
+        out = _W if rev and not a.is_finite() else a + _ONE
+    elif isinstance(t, RevOrd):
+        out = t.power + _ONE if rev else _W
+    elif isinstance(t, Zeta):
+        out = _W + _ONE
+    elif isinstance(t, Sum):
+        bs = [_bound(p, rev, memo) for p in t.parts]
+        out = bs[-1] if rev else bs[0]
+        for b in (bs[-2::-1] if rev else bs[1:]):
+            out = _after(out, b)
+    elif isinstance(t, Prod):
+        out = _sums_below(_bound(t.inner, rev, memo),
+                          _bound(t.index, rev, memo))
+    elif isinstance(t, (GeomOmega, GeomOmegaStar)):
+        x = _bound(t.base, rev, memo)
+        sup = _W if x <= _W else _power(x.terms[0][0] * _W)
+        # an w-sum of blocks holds sup; blocks along w* hold finitely many
+        out = sup + _ONE if isinstance(t, GeomOmega) != rev else sup
+    else:
+        a = t.limit
+        lead = a.terms[0][0]
+        if isinstance(t, SeqSumStar) != rev:
+            out = a if a.terms == ((lead, 1),) else _power(lead + _ONE)
+        else:
+            out = _W + _ONE
+    memo[key] = out
+    return out
+
+
+def _co_ordinal(t):
+    """The ordinal whose reverse t is, or None."""
+    if isinstance(t, OrdLeaf):
+        return t.value if t.value.is_finite() else None
+    if isinstance(t, RevOrd):
+        return t.power
+    if isinstance(t, Sum):
+        out = Ordinal()
+        for p in reversed(t.parts):
+            v = _co_ordinal(p)
+            if v is None:
+                return None
+            out = out + v
+        return out
+    if isinstance(t, Prod):
+        b = _co_ordinal(t.index)
+        a = None if b is None else _co_ordinal(t.inner)
+        return None if a is None else a * b
+    return None
+
+
+def _facts(t, ranks, bounds):
+    """The facts of t, the end points by the point layer; ``ranks`` and
+    ``bounds`` memoize the ranks and the bounds by node."""
     n = _count(t)
+    scattered = _free_of(t, (Eta, Lambda))
     return analysis.Facts(
         nonempty=n != 0,
         size=None if n == inf else n,
@@ -247,8 +346,9 @@ def _facts(t):
         final_segments_wo=_fsw(t),
         initial_segments_rwo=_isw(t),
         **dict(zip(("rank", "final_rank", "initial_rank"),
-                   _ranks(t, {}) if _free_of(t, (Eta, Lambda))
-                   else (None,) * 3)),
+                   _ranks(t, ranks) if scattered else (None,) * 3)),
+        ordinal_bound=_bound(t, False, bounds) if scattered else None,
+        rev_ordinal_bound=_bound(t, True, bounds) if scattered else None,
     )
 
 
@@ -274,9 +374,9 @@ def test_stored_data_is_what_a_fresh_computation_gives():
     # node's stored data from its children's: a normal form is a fixed
     # point of the normalizer and parses back from its printed form,
     # reversal links both ways, the stored count, pieces and cuts are the
-    # computed ones, the stored text and facts are those of a recursion
-    # over the whole subtree, and each stored power is the normal form of
-    # the unfolded product
+    # computed ones, the stored text, reversed-ordinal value and facts are
+    # those of a recursion over the whole subtree, and each stored power
+    # is the normal form of the unfolded product
     texts = list(REGRESSION_CORPUS) + _random_texts(8, 40)
     keep = [parse_normalized(x) for x in texts]
     for k in range(0, len(keep), 4):
@@ -286,7 +386,9 @@ def test_stored_data_is_what_a_fresh_computation_gives():
             for t in keep[k:k + 4]:
                 eng.embeds(s, t)
     seen = dict.fromkeys(
-        ("nf", "rev", "count", "text", "facts", "pieces", "cuts", "powers"), 0)
+        ("nf", "rev", "count", "co_ordinal", "text", "facts", "pieces",
+         "cuts", "powers"), 0)
+    ranks, bounds = {}, {}
     for n in _live_nodes():
         if n._text is not None:
             seen["text"] += 1
@@ -310,9 +412,12 @@ def test_stored_data_is_what_a_fresh_computation_gives():
         if n._count is not None:
             seen["count"] += 1
             assert terms._point_count(n) == n._count, print_term(n)
+        if n._co is not None:
+            seen["co_ordinal"] += 1
+            assert (n._co or None) == _co_ordinal(n), print_term(n)
         if n._facts is not None:
             seen["facts"] += 1
-            assert n._facts == _facts(n), print_term(n)
+            assert n._facts == _facts(n, ranks, bounds), print_term(n)
         if n._pieces is not None:
             seen["pieces"] += 1
             assert engine._pieces(n) == n._pieces

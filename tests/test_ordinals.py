@@ -107,6 +107,24 @@ def test_comparison_total(a, b):
     assert (a < b) + (b < a) + (a == b) == 1
 
 
+def _cnf_less(a, b):
+    """a < b read off the CNFs: the first term where they differ decides,
+    by its exponent, then its coefficient; else the shorter is less."""
+    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
+        if e1.terms != e2.terms:
+            return _cnf_less(e1, e2)
+        if c1 != c2:
+            return c1 < c2
+    return len(a.terms) < len(b.terms)
+
+
+@given(ordinals(), ordinals())
+def test_comparison_is_the_cnf_order(a, b):
+    lt, gt = _cnf_less(a, b), _cnf_less(b, a)
+    assert (a < b, a > b, a <= b, a >= b) == (lt, gt, not gt, not lt)
+    assert max(a, b) == (b if lt else a)
+
+
 @given(ordinals(), ordinals(), ordinals())
 def test_comparison_transitive(a, b, c):
     if a < b and b < c:
