@@ -303,7 +303,12 @@ def hier() -> None:
 @click.argument("spec")
 def hier_validate(spec: str) -> int:
     v = validate_sum_spec(_load_spec(spec))
-    _echo_json(_verdict_doc(v))
+    _echo_json({
+        "answer": v.answer,
+        "reason": v.reason,
+        "counterexample_index": v.counterexample_index,
+        "premises": [p.certificate for p in v.premises],
+    })
     return 0 if v.decided else 2
 
 

@@ -23,7 +23,9 @@ field is certified by a node of a C-rule about t alone (s == t) whose
 ``CLASSIFIERS``, with its step: the search that ``classify_type`` runs
 and that replay runs again against a node's premises.  The links between
 fields, the paper's theorems among them, are one table, ``IMPLICATIONS``,
-applied both ways as the profile is built.
+applied both ways as the profile is built.  ``equimorphic`` and
+``square_report`` build their EQ and GARRETT nodes by a step each.  So
+replay checks every node by the code that built it, and by nothing else.
 """
 
 from __future__ import annotations
@@ -650,6 +652,19 @@ IMPLICATIONS = (
 
 _IMPLIED = frozenset(row[0] for row in IMPLICATIONS)
 
+
+def _implied(t, field, answer):
+    """(rule, field) for each field that a row of ``IMPLICATIONS``
+    derives for t from t's ``field`` answering ``answer``: forward from a
+    premise YES, by contrapositive from a conclusion NO.  The derived
+    field answers the same."""
+    for name, premise, conclusion, side, _ in IMPLICATIONS:
+        if answer == YES and field == premise and side(t):
+            yield name, conclusion
+        elif answer == NO and field == conclusion and side(t):
+            yield name, premise
+
+
 _STRICT_SIDES = ("strictly_indec_left", "strictly_indec_right")
 
 # the homogeneous types C-HOMOG catalogues
@@ -705,11 +720,8 @@ class _ProfileBuilder:
             v = _cert(answer, rule, self.t, self.t, inst, premises, axioms,
                       claim=field)
             self.fields[field] = v
-            for name, premise, conclusion, side, _ in IMPLICATIONS:
-                if answer == YES and field == premise and side(self.t):
-                    todo.append((conclusion, YES, name, None, (v,), ()))
-                elif answer == NO and field == conclusion and side(self.t):
-                    todo.append((premise, NO, name, None, (v,), ()))
+            for name, implied in _implied(self.t, field, answer):
+                todo.append((implied, answer, name, None, (v,), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +923,54 @@ _CLASSIFICATIONS = frozenset(CLASSIFIERS) | _IMPLIED
 
 
 # ---------------------------------------------------------------------------
+# equimorphism and the square
+#
+# EQ and GARRETT are steps too: each reads only ``embeds`` of its engine
+# and the verdicts it is given, so replay runs it against a node's
+# premises as it runs a classification step.
+
+
+def _step_eq(engine, s, t, depth=None):
+    """EQ: s and t embed in each other, or the one named by ``failed``
+    does not."""
+    fwd = engine.embeds(s, t, depth)
+    bwd = engine.embeds(t, s, depth)
+    if fwd.is_yes and bwd.is_yes:
+        return _cert(YES, "EQ", s, t, premises=(fwd, bwd))
+    if fwd.is_no:
+        return _cert(NO, "EQ", s, t, inst={"failed": "forward"},
+                     premises=(fwd,))
+    if bwd.is_no:
+        return _cert(NO, "EQ", s, t, inst={"failed": "backward"},
+                     premises=(bwd,))
+    return UNK
+
+
+def _step_garrett(engine, t, sutr):
+    """GARRETT: an s-untranscendable t (``sutr``, a verdict) with two
+    copies of itself side by side, t*2 = t + t <= t and 2*t <= t, has
+    t*t <= t.  The three hypotheses by name, and the node when all hold."""
+    hyps = {
+        "s_untranscendable": sutr,
+        "two_copies_right": engine.embeds(_sumify([t, t]), t),
+        "two_copies_left": engine.embeds(normalize(Prod(fin(2), t)), t),
+    }
+    if not all(v.is_yes for v in hyps.values()):
+        return hyps, UNK
+    return hyps, _cert(
+        YES, "GARRETT", normalize(Prod(t, t)), t,
+        inst={
+            "homogenization": (
+                "the three hypotheses yield a homogeneous type "
+                "equimorphic to the input, whose square embeds "
+                "into itself and transfers back"
+            )
+        },
+        premises=tuple(hyps.values()),
+    )
+
+
+# ---------------------------------------------------------------------------
 # the engine
 
 
@@ -1037,18 +1097,7 @@ class Engine:
         return result
 
     def equimorphic(self, s: Term, t: Term, depth: Optional[int] = None) -> Verdict:
-        s, t = normalize(s), normalize(t)
-        fwd = self.embeds(s, t, depth)
-        bwd = self.embeds(t, s, depth)
-        if fwd.is_yes and bwd.is_yes:
-            return _cert(YES, "EQ", s, t, premises=(fwd, bwd))
-        if fwd.is_no:
-            return _cert(NO, "EQ", s, t, inst={"failed": "forward"},
-                         premises=(fwd,))
-        if bwd.is_no:
-            return _cert(NO, "EQ", s, t, inst={"failed": "backward"},
-                         premises=(bwd,))
-        return UNK
+        return _step_eq(self, normalize(s), normalize(t), depth)
 
     # -- the search side of the recursive rules --------------------------
 
@@ -1355,30 +1404,9 @@ class Engine:
         prof = self.classify_type(t)
         square_term = normalize(Prod(t, t))
         direct = self.embeds(square_term, t)
-        h_sutr = prof.s_untranscendable
-        h_right = self.embeds(_sumify([t, t]), t)          # t·2 = t + t
-        h_left = self.embeds(normalize(Prod(fin(2), t)), t)
-        hyps = {
-            "s_untranscendable": h_sutr,
-            "two_copies_right": h_right,
-            "two_copies_left": h_left,
-        }
-        if h_sutr.is_yes and h_right.is_yes and h_left.is_yes:
-            verdict = _cert(
-                YES, "GARRETT", square_term, t,
-                inst={
-                    "homogenization": (
-                        "the three hypotheses yield a homogeneous type "
-                        "equimorphic to the input, whose square embeds "
-                        "into itself and transfers back"
-                    )
-                },
-                premises=(h_sutr, h_right, h_left),
-            )
-        elif direct.decided:
+        hyps, verdict = _step_garrett(self, t, prof.s_untranscendable)
+        if not verdict.decided:
             verdict = direct
-        else:
-            verdict = UNK
         return {
             "term": print_term(t),
             "verdict": verdict,
@@ -1393,10 +1421,11 @@ class Engine:
 # certificate replay
 #
 # Replay checks each node from the terms printed in it and the nodes of
-# its premises, then checks the premises in turn.  A node of an R-rule or
-# of a C-rule is checked by the rule itself (see ``RULES`` and
-# ``CLASSIFIERS``); those of EQ, GARRETT and the rows of ``IMPLICATIONS``
-# by the checks in ``VALIDATORS``.  A tampered certificate fails.
+# its premises, then checks the premises in turn.  Every node is checked
+# by the code that builds it: a side-condition rule's ``decide``, or a
+# search or step -- of ``RULES``, of ``CLASSIFIERS``, EQ, GARRETT, or the
+# closure under ``IMPLICATIONS`` -- run once against the node's premises,
+# which must give that node back.  A tampered certificate fails.
 
 
 class CertificateError(ValueError):
@@ -1405,14 +1434,6 @@ class CertificateError(ValueError):
 
 def _p(text: str) -> Term:
     return parse_normalized(text)
-
-
-def _prem_triples(node, first=0):
-    """(s, t, answer) of the node's premises from ``first`` on; each must
-    be an embedding, not a classification (s == t) or an equimorphism."""
-    prem = node["premises"][first:]
-    _expect(all(q["rule"] in RULES for q in prem), "premise not an embedding")
-    return [(_p(q["s"]), _p(q["t"]), q["answer"]) for q in prem]
 
 
 def _expect(cond, why):
@@ -1433,61 +1454,6 @@ def _premise_terms(q, node, s, t):
     are s and t."""
     qt = _premise_term(q["t"], node, s, t)
     return (qt if q["s"] == q["t"] else _premise_term(q["s"], node, s, t)), qt
-
-
-def _certifies(q, node, t, claim, answer) -> bool:
-    """The premise q of the node whose subject is t is a classification
-    node certifying that t's field ``claim`` answers ``answer``."""
-    return (q["rule"] in _CLASSIFICATIONS and q.get("claim") == claim
-            and q["answer"] == answer
-            and _premise_terms(q, node, t, t) == (t, t))
-
-
-def _v_eq(node, s, t):
-    """EQ YES from s <= t and t <= s YES; EQ NO from the one that is NO,
-    named by ``failed``."""
-    prem = _prem_triples(node)
-    if node["answer"] == YES:
-        _expect(node["instantiation"] == {}, "instantiation")
-        _expect(prem == [(s, t, YES), (t, s, YES)], "EQ premises")
-    else:
-        failed = node["instantiation"]
-        _expect(failed in ({"failed": "forward"}, {"failed": "backward"}),
-                "instantiation")
-        refuted = (s, t) if failed["failed"] == "forward" else (t, s)
-        _expect(prem == [(*refuted, NO)], "EQ premises")
-
-
-def _v_garrett(node, s, t):
-    _expect(node["answer"] == YES, "answer")
-    _expect(s == normalize(Prod(t, t)), "source is not the square")
-    _expect(len(node["premises"]) == 3, "premise count")
-    _expect(
-        _certifies(node["premises"][0], node, t, "s_untranscendable", YES),
-        "first premise must certify s-untranscendability",
-    )
-    prem = _prem_triples(node, 1)
-    _expect(prem[0] == (_sumify([t, t]), t, YES), "two-copies-right premise")
-    _expect(
-        prem[1] == (normalize(Prod(fin(2), t)), t, YES),
-        "two-copies-left premise",
-    )
-
-
-def _v_implication(node, s, t):
-    """A step of ``IMPLICATIONS``, forward or by contrapositive, from
-    one premise certifying the field the step starts from."""
-    _expect(node["s"] == node["t"], "a classification has one subject")
-    answer, claim = node["answer"], node["claim"]
-    _expect(len(node["premises"]) == 1, "premise count")
-    (q,) = node["premises"]
-    for name, premise, conclusion, side, _ in IMPLICATIONS:
-        start, end = ((premise, conclusion) if answer == YES
-                      else (conclusion, premise))
-        if (name == node["rule"] and end == claim and side(t)
-                and _certifies(q, node, t, start, answer)):
-            return
-    raise CertificateError("no implication row gives the claim")
 
 
 def _side_condition_rule(name, decide, axioms=()):
@@ -1540,11 +1506,6 @@ RULES = {
 
 DEFAULT_RULE_ORDER = tuple(RULES)
 
-# The checks of the rules that replay does not run a step of: name ->
-# check(node, s, t).
-VALIDATORS = {"EQ": _v_eq, "GARRETT": _v_garrett,
-              **{name: _v_implication for name in _IMPLIED}}
-
 
 class _Premises:
     """The engine a rule's search or step runs against in replay: each
@@ -1574,9 +1535,9 @@ class _Premises:
 
 
 class _PremiseProfile:
-    """The profile a classification step runs against in replay: each
-    field a classification premise of the node certifies about t holds
-    that premise, and every other field UNKNOWN.  ``set`` applies no
+    """The profile of t that a step runs against in replay: each field a
+    classification premise of the node certifies about t holds that
+    premise, and every other field UNKNOWN.  ``set`` applies no
     ``IMPLICATIONS`` and never raises; it records the node it certifies
     for the field ``claim``, and only the answer for another field: no
     step cites a field it has set itself."""
@@ -1616,10 +1577,12 @@ def replay_certificate(node: dict) -> bool:
     reversed-ordinal value, its pieces and cuts (deep and shallow), and
     the powers of a geometric base, each one normalizer step from the
     one before (``_npow``), which the search may have computed before the
-    replay.  It trusts each rule: each side-condition rule's ``decide``,
-    each recursive rule's search and each classification step of
-    ``CLASSIFIERS`` run once against the node's premises, the checks of
-    ``VALIDATORS``, and ``IMPLICATIONS``.  It does not trust how the
+    replay.  It trusts each rule as the search runs it, and nothing
+    else: each side-condition rule's ``decide`` and each recursive
+    rule's search in ``RULES``, each classification step of
+    ``CLASSIFIERS``, the EQ and GARRETT steps, and the rows of
+    ``IMPLICATIONS`` as ``_implied`` fires them, each run once against
+    the node's premises.  It does not trust how the
     search used the rules: the memo, cycle cuts, UNKNOWN reuse, the
     depth bound and the rule order play no part in replay.
     The tree is walked depth first with an explicit stack, so a deep
@@ -1649,32 +1612,36 @@ def _replay(node: dict, s: Term, t: Term):
     _expect(node.get("answer") in (YES, NO), "answer must be decided")
     rule = node.get("rule")
     prem = [(q, *_premise_terms(q, node, s, t)) for q in node["premises"]]
-    if rule in RULES:
-        search, side = RULES[rule]
-        if side is None:
-            # the exact match covers the answer, instantiation, premises
-            # (the same objects) and axiom tags
-            v = search(_Premises(prem), s, t, inf)
-            _expect(v is not None and v.certificate == node,
-                    "the rule does not derive the node from its premises")
-        else:
-            decide, axioms = side
-            d = decide(s, t)
-            _expect(d is not None and d[0] == node["answer"]
-                    and {k: _shown(v) for k, v in d[1].items()}
-                    == node["instantiation"], "side conditions")
-            _expect(not prem and node["axioms"] == list(axioms),
-                    "premises or axiom tags")
+    search, side = RULES.get(rule, (None, None))
+    if side is not None:
+        decide, axioms = side
+        d = decide(s, t)
+        _expect(d is not None and d[0] == node["answer"]
+                and {k: _shown(v) for k, v in d[1].items()}
+                == node["instantiation"], "side conditions")
+        _expect(not prem and node["axioms"] == list(axioms),
+                "premises or axiom tags")
         return prem
-    if rule in CLASSIFIERS:
-        # the step's node about t must be the node, exactly
+    engine = _Premises(prem)
+    if search is not None:
+        made = [search(engine, s, t, inf)]
+    elif rule == "EQ":
+        made = [_step_eq(engine, s, t)]
+    elif rule == "GARRETT":
+        sutr = _PremiseProfile(t, prem, None).fields["s_untranscendable"]
+        made = [_step_garrett(engine, t, sutr)[1]]
+    else:
+        _expect(rule in _CLASSIFICATIONS, f"unknown rule {rule!r}")
         b = _PremiseProfile(t, prem, node.get("claim"))
-        CLASSIFIERS[rule](_Premises(prem), b)
-        _expect(any(v.certificate == node for v in b.made),
-                "the rule's step does not derive the node from its premises")
-        return prem
-    _expect(rule in VALIDATORS, f"unknown rule {rule!r}")
-    VALIDATORS[rule](node, s, t)
-    _expect(all(ax in node["axioms"] for q, _, _ in prem for ax in q["axioms"]),
-            "a premise's axiom tag is missing")
+        if rule in CLASSIFIERS:
+            CLASSIFIERS[rule](engine, b)
+        else:
+            for field, v in list(b.fields.items()):
+                for name, implied in _implied(t, field, v.answer):
+                    b.set(implied, v.answer, name, premises=(v,))
+        made = b.made
+    # the exact match covers the answer, claim, instantiation, premises
+    # (the same objects) and axiom tags
+    _expect(any(v is not None and v.certificate == node for v in made),
+            "the rule does not derive the node from its premises")
     return prem

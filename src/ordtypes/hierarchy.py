@@ -35,7 +35,7 @@ import logging
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .engine import NO, UNKNOWN, YES, Engine, Verdict, _cert
+from .engine import NO, UNKNOWN, YES, Engine, Verdict
 from .finite import CapacityError
 from .fprofile import f_class_profile
 from .points import total_count
@@ -179,7 +179,32 @@ def spec_from_json(d) -> SumSpec:
 # validation
 
 
-def validate_sum_spec(s: SumSpec, engine: Optional[Engine] = None) -> Verdict:
+@dataclass(frozen=True)
+class SpecCheck:
+    """The answer of a regularity check: why it holds or is undecided
+    (``reason``), or the index of a summand that does not recur
+    (``counterexample_index``), and the engine verdicts it rests on, each
+    with its own certificate."""
+
+    answer: str
+    reason: Optional[str] = None
+    counterexample_index: Optional[int] = None
+    premises: Tuple[Verdict, ...] = ()
+
+    @property
+    def is_yes(self):
+        return self.answer == YES
+
+    @property
+    def is_no(self):
+        return self.answer == NO
+
+    @property
+    def decided(self):
+        return self.answer != UNKNOWN
+
+
+def validate_sum_spec(s: SumSpec, engine: Optional[Engine] = None) -> SpecCheck:
     """Check the regularity condition of the indexed sum.
 
     For omega / omega-star sums: every summand type must embed into
@@ -191,57 +216,42 @@ def validate_sum_spec(s: SumSpec, engine: Optional[Engine] = None) -> Verdict:
     eng = engine or Engine()
     g = s.generator
     if s.kind == "eta-shuffle":
-        return _cert(YES, "H-DENSE", _spec_marker(s), _spec_marker(s),
-                     inst={"reason": "each named summand recurs densely "
-                                     "by construction of the shuffle"})
+        return SpecCheck(YES, "each named summand recurs densely by "
+                              "construction of the shuffle")
 
     if g.shape == "constant":
-        return _cert(YES, "H-UNBOUNDED", _spec_marker(s), _spec_marker(s),
-                     inst={"reason": "constant generator"})
+        return SpecCheck(YES, "constant generator")
     if g.shape == "geometric":
         v = eng.embeds(ONE_T, g.base)
         if v.is_yes:
-            return _cert(YES, "H-UNBOUNDED", _spec_marker(s),
-                         _spec_marker(s),
-                         inst={"reason": "monotone geometric tower"},
-                         premises=(v,))
+            return SpecCheck(YES, "monotone geometric tower", premises=(v,))
         if v.is_no:
-            return _cert(NO, "H-UNBOUNDED-FAIL", _spec_marker(s),
-                         _spec_marker(s), inst={"counterexample_index": 0},
-                         premises=(v,))
-        return Verdict(UNKNOWN)
+            return SpecCheck(NO, counterexample_index=0, premises=(v,))
+        return SpecCheck(UNKNOWN, "1 <= base is undecided")
 
     # eventually-constant / prefix: each prefix entry must re-embed
     # into the recurring tail values
-    tail_values = (
+    tail_values = _dedupe(
         [g.base] if g.shape == "eventually-constant" else g.tail.values()
         + [g.tail.term_at(k) for k in range(1, 4)]
     )
     unknown = False
+    found = []
     for i, p in enumerate(g.prefix):
         answers = [eng.embeds(p, tv) for tv in tail_values]
-        if any(a.is_yes for a in answers):
-            continue
-        if all(a.is_no for a in answers):
-            return _cert(NO, "H-UNBOUNDED-FAIL", _spec_marker(s),
-                         _spec_marker(s),
-                         inst={"counterexample_index": i},
-                         premises=tuple(answers))
-        unknown = True
+        yes = [a for a in answers if a.is_yes]
+        if yes:
+            found.append(yes[0])
+        elif all(a.is_no for a in answers):
+            return SpecCheck(NO, counterexample_index=i,
+                             premises=tuple(answers))
+        else:
+            unknown = True
     if unknown:
-        return Verdict(UNKNOWN)
-    return _cert(YES, "H-UNBOUNDED", _spec_marker(s), _spec_marker(s),
-                 inst={"reason": "prefix entries re-embed in the tail"})
-
-
-def _spec_marker(s: SumSpec) -> Term:
-    """A stand-in term used only so validation verdicts share the
-    engine's certificate shape; the realized term when expressible,
-    else the empty sum placeholder."""
-    try:
-        return realize(s)
-    except CapacityError:
-        return ONE_T
+        return SpecCheck(UNKNOWN, "a prefix entry's re-embedding in the "
+                                  "tail is undecided")
+    return SpecCheck(YES, "prefix entries re-embed in the tail",
+                     premises=tuple(found))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ class Ordinal:
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("Ordinal is immutable")
 
+    def __reduce__(self):
+        # rebuilt by the constructor: slot state would be restored
+        # through __setattr__
+        return Ordinal, (self._terms,)
+
     # -- constructors -------------------------------------------------
 
     @staticmethod

@@ -153,6 +153,42 @@ def test_hier_spec_file(tmp_path):
     assert run(["hier", "realize", str(tmp_path / "missing.json")])[0] == 1
 
 
+def test_every_printed_certificate_replays():
+    terms = ("w + 1", "z", "q", "z*q", "w^(w)~")
+    printed = []
+    for s in terms:
+        for t in terms:
+            code, out, _ = run(["type", "embeds", s, t, "--json"])
+            printed.append(json.loads(out)["certificate"])
+        code, out, _ = run(["type", "classify", s, "--json"])
+        printed += [doc["certificate"] for doc in json.loads(out).values()]
+        code, out, _ = run(["type", "square", s, "--json"])
+        printed.append(json.loads(out)["verdict"]["certificate"])
+    # one spec of each generator shape; hier validate prints the engine
+    # verdicts its answer rests on, and no node of its own
+    answers = {}
+    for kind, gen in (
+        ("omega-sum", {"shape": "constant", "base": "w"}),
+        ("omega-sum", {"shape": "eventually-constant", "base": "w",
+                       "prefix": ["1", "2"]}),
+        ("omega-star-sum", {"shape": "geometric", "base": "z"}),
+        ("omega-sum", {"shape": "prefix", "prefix": ["w"],
+                       "tail": {"shape": "constant", "base": "1"}}),
+    ):
+        code, out, _ = run(["hier", "validate",
+                            json.dumps({"kind": kind, "generator": gen})])
+        doc = json.loads(out)
+        answers[gen["shape"]] = (code, doc["answer"], len(doc["premises"]))
+        printed += doc["premises"]
+    assert answers == {"constant": (0, "YES", 0),
+                       "eventually-constant": (0, "YES", 2),
+                       "geometric": (0, "YES", 1),
+                       "prefix": (0, "NO", 1)}
+    decided = [c for c in printed if c is not None]
+    assert len(decided) > 50
+    assert all(replay_certificate(c) for c in decided)
+
+
 def test_game_verify():
     code, out, _ = run(["game", "verify", "--exhaustive", "--rounds", "1"])
     assert code == 0

@@ -286,9 +286,9 @@ def _corruptions(node, eng):
     if node["axioms"]:
         # the tags the node states or inherits from its premises
         yield dict(node, axioms=[])
+    inst = node["instantiation"]
+    yield dict(node, instantiation=dict(inst, forged=True))
     if node["rule"] in RULES:
-        inst = node["instantiation"]
-        yield dict(node, instantiation=dict(inst, forged=True))
         for key, value in inst.items():
             if value != "1":
                 yield dict(node, instantiation=dict(inst, **{key: "1"}))

@@ -103,7 +103,7 @@ def test_validate_rejects_shrinking_prefix(eng):
                 G("prefix", prefix=("w",), tail=G("constant", "1")))
     v = validate_sum_spec(s, eng)
     assert v.is_no
-    assert v.certificate["instantiation"]["counterexample_index"] == 0
+    assert v.counterexample_index == 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import ast
 import gc
 import json
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -20,7 +21,7 @@ import pytest
 import ordtypes
 from ordtypes import analysis, engine, terms
 from ordtypes.engine import Engine
-from ordtypes.ordinals import CapacityError, Ordinal
+from ordtypes.ordinals import OMEGA, CapacityError, Ordinal
 from ordtypes.points import first_point, last_point, power_term
 from ordtypes.terms import (
     Eta, GeomOmega, GeomOmegaStar, Lambda, OrdLeaf, Prod, Rev, RevOrd,
@@ -357,6 +358,16 @@ def test_equal_terms_are_one_node():
         assert parse_normalized(text) is parse_normalized(text), text
         assert parse_term(text) is parse_term(text), text
     assert terms.GeomOmega(terms.OMEGA_T) is terms.GeomOmega(terms.OMEGA_T, 0)
+
+
+def test_terms_and_ordinals_survive_pickling():
+    # an ordinal is rebuilt by its constructor, and a term by its
+    # fields, so unpickling gives back the one interned node
+    assert pickle.loads(pickle.dumps(OMEGA)) == OMEGA
+    for text in REGRESSION_CORPUS:
+        for t in (parse_term(text), parse_normalized(text)):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(t, protocol)) is t, text
 
 
 def test_hash_is_the_hash_of_the_fields():
