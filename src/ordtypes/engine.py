@@ -629,8 +629,10 @@ _ZERO_T, _TWO_T = fin(0), fin(2)
 # The links between profile fields: a row (name, premise, conclusion,
 # side, source) says that a type t with side(t) and the premise field
 # has the conclusion field, by the result or definition named in source.
-# ``_ProfileBuilder.set`` applies each row forward (premise YES gives
-# conclusion YES) and by contrapositive (conclusion NO gives premise NO).
+# ``_implied`` fires each row forward (premise YES gives conclusion YES)
+# and by contrapositive (conclusion NO gives premise NO).
+# ``_ProfileBuilder.set`` closes a profile with it, and replay checks a
+# node of a row by firing the rows of the node's premise.
 IMPLICATIONS = (
     ("C-S-UNTR-LIFT", "s_untranscendable", "untranscendable", _any_type,
      "definition: s-untranscendability strengthens untranscendability"),

@@ -158,11 +158,11 @@ def test_every_printed_certificate_replays():
     printed = []
     for s in terms:
         for t in terms:
-            code, out, _ = run(["type", "embeds", s, t, "--json"])
+            out = run(["type", "embeds", s, t, "--json"])[1]
             printed.append(json.loads(out)["certificate"])
-        code, out, _ = run(["type", "classify", s, "--json"])
+        out = run(["type", "classify", s, "--json"])[1]
         printed += [doc["certificate"] for doc in json.loads(out).values()]
-        code, out, _ = run(["type", "square", s, "--json"])
+        out = run(["type", "square", s, "--json"])[1]
         printed.append(json.loads(out)["verdict"]["certificate"])
     # one spec of each generator shape; hier validate prints the engine
     # verdicts its answer rests on, and no node of its own
