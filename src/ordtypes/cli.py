@@ -4,39 +4,37 @@ Exit codes: 0 success (or --expect matched), 1 usage/parse error,
 2 undecided verdict or --expect mismatch, 3 internal consistency
 violation.  Machine output goes to stdout, diagnostics to stderr;
 --json switches a command's output to a single JSON document.
+
+The module imports only the engine stack at load time; a command that
+needs another module (finite orders, condensations, hierarchies,
+games, class profiles) imports it when it runs, so a cold call loads
+only what it uses.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
-import json
-import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from typing import Optional, Tuple
 
-import click
-
-from .condense import e_y_condense, finite_condensation
 from .engine import Engine, InconsistencyError, PROFILE_FIELDS, Verdict
-from .finite import CapacityError, FiniteOrder, finite_profile
-from .fprofile import f_class_profile
-from .hierarchy import no_finite_F_witness, realize, spec_from_json, validate_sum_spec
 from .ordinals import (
+    CapacityError,
     Ordinal,
     classify_ordinal,
     ord_cmp,
     s_untranscendability_witness,
     transcendability_witness,
 )
-from .points import sample_points
-from .game import Strategy, exhaustive_verify, random_strategy, verify_flip_identity
-from .terms import ParseError, parse_term, print_term, pure_ordinal
+from .terms import ParseError, normalize, parse_term, print_term, pure_ordinal
 
 
 def _echo_json(doc) -> None:
-    click.echo(json.dumps(doc, sort_keys=True, default=str))
+    import json
+
+    print(json.dumps(doc, sort_keys=True, default=str))
 
 
 def _shallow_dict(obj) -> dict:
@@ -44,12 +42,9 @@ def _shallow_dict(obj) -> dict:
 
 
 def _parse_ordinal(text: str) -> Ordinal:
-    from .terms import normalize
-
-    t = normalize(parse_term(text))
-    a = pure_ordinal(t)
+    a = pure_ordinal(normalize(parse_term(text)))
     if a is None:
-        raise click.UsageError(f"not an ordinal expression: {text!r}")
+        raise ValueError(f"not an ordinal expression: {text!r}")
     return a
 
 
@@ -61,51 +56,67 @@ def _finish_verdict(v: Verdict, expect: Optional[str], as_json: bool) -> int:
     if as_json:
         _echo_json(_verdict_doc(v))
     else:
-        click.echo(v.answer)
+        print(v.answer)
     if expect is not None:
         return 0 if v.answer == expect.upper() else 2
     return 0 if v.decided else 2
 
 
-@click.group()
-def cli() -> None:
-    """Symbolic calculator and decision engine for linear order types."""
+# ---------------------------------------------------------------------------
+# the command table
+
+_DOC = "Symbolic calculator and decision engine for linear order types."
+
+_GROUPS = {
+    "ord": "Ordinal arithmetic and classification.",
+    "type": "Order-type embeddability and classification.",
+    "finite": "Brute-force profiles of finite orders.",
+    "cond": "Condensations.",
+    "hier": "Regular unbounded sums and shuffles.",
+    "game": "Flip-conjugation checks for the word game.",
+}
+
+# (group, command) -> (function, arguments); each argument is the
+# (flags, keywords) of one argparse ``add_argument`` call, and the
+# function takes the parsed values by their argparse names
+_COMMANDS: dict = {}
+
+
+def _arg(*flags, **keywords):
+    return flags, keywords
+
+
+def _command(group: str, name: str, *arguments):
+    def register(f):
+        _COMMANDS[group, name] = (f, arguments)
+        return f
+    return register
 
 
 # ---------------------------------------------------------------------------
 # ord
 
 
-@cli.group()
-def ord() -> None:
-    """Ordinal arithmetic and classification."""
-
-
-@ord.command("cnf")
-@click.argument("expr")
+@_command("ord", "cnf", _arg("expr"))
 def ord_cnf(expr: str) -> int:
-    click.echo(str(_parse_ordinal(expr)))
+    print(_parse_ordinal(expr))
     return 0
 
 
-@ord.command("cmp")
-@click.argument("a")
-@click.argument("b")
+@_command("ord", "cmp", _arg("a"), _arg("b"))
 def ord_cmp_cmd(a: str, b: str) -> int:
-    click.echo(ord_cmp(_parse_ordinal(a), _parse_ordinal(b)))
+    print(ord_cmp(_parse_ordinal(a), _parse_ordinal(b)))
     return 0
 
 
-@ord.command("classify")
-@click.argument("expr")
+@_command("ord", "classify", _arg("expr"))
 def ord_classify(expr: str) -> int:
     p = classify_ordinal(_parse_ordinal(expr))
     _echo_json(_shallow_dict(p))
     return 0
 
 
-@ord.command("witness")
-@click.argument("expr")
+@_command("ord", "witness", _arg("expr"))
 def ord_witness(expr: str) -> int:
     a = _parse_ordinal(expr)
     doc: dict = {"ordinal": str(a)}
@@ -127,11 +138,6 @@ def ord_witness(expr: str) -> int:
 # type
 
 
-@cli.group("type")
-def type_grp() -> None:
-    """Order-type embeddability and classification."""
-
-
 def _engine(depth: Optional[int], no_choice: bool) -> Engine:
     kw = {"use_choice": not no_choice}
     if depth is not None:
@@ -139,41 +145,28 @@ def _engine(depth: Optional[int], no_choice: bool) -> Engine:
     return Engine(**kw)
 
 
-_common = [
-    click.option("--json", "as_json", is_flag=True, help="JSON output"),
-    click.option("--depth", type=int, default=None, help="search depth"),
-    click.option("--no-choice", is_flag=True, help="forbid choice-tagged rules"),
-    click.option("--expect", default=None, help="expected answer; sets exit code"),
-]
+_COMMON = (
+    _arg("--json", dest="as_json", action="store_true", help="JSON output"),
+    _arg("--depth", type=int, help="search depth"),
+    _arg("--no-choice", action="store_true",
+         help="forbid choice-tagged rules"),
+    _arg("--expect", help="expected answer; sets exit code"),
+)
 
 
-def _with_common(f):
-    for opt in reversed(_common):
-        f = opt(f)
-    return f
-
-
-@type_grp.command("embeds")
-@click.argument("s")
-@click.argument("t")
-@_with_common
+@_command("type", "embeds", _arg("s"), _arg("t"), *_COMMON)
 def type_embeds(s, t, as_json, depth, no_choice, expect) -> int:
     v = _engine(depth, no_choice).embeds(parse_term(s), parse_term(t))
     return _finish_verdict(v, expect, as_json)
 
 
-@type_grp.command("equi")
-@click.argument("s")
-@click.argument("t")
-@_with_common
+@_command("type", "equi", _arg("s"), _arg("t"), *_COMMON)
 def type_equi(s, t, as_json, depth, no_choice, expect) -> int:
     v = _engine(depth, no_choice).equimorphic(parse_term(s), parse_term(t))
     return _finish_verdict(v, expect, as_json)
 
 
-@type_grp.command("classify")
-@click.argument("t")
-@_with_common
+@_command("type", "classify", _arg("t"), *_COMMON)
 def type_classify(t, as_json, depth, no_choice, expect) -> int:
     prof = _engine(depth, no_choice).classify_type(parse_term(t))
     doc = {
@@ -188,9 +181,7 @@ def type_classify(t, as_json, depth, no_choice, expect) -> int:
     return 0
 
 
-@type_grp.command("square")
-@click.argument("t")
-@_with_common
+@_command("type", "square", _arg("t"), *_COMMON)
 def type_square(t, as_json, depth, no_choice, expect) -> int:
     rep = _engine(depth, no_choice).square_report(parse_term(t))
     doc = {
@@ -208,10 +199,11 @@ def type_square(t, as_json, depth, no_choice, expect) -> int:
     return 0 if v.decided else 2
 
 
-@type_grp.command("fprofile")
-@click.argument("t")
+@_command("type", "fprofile", _arg("t"))
 def type_fprofile(t) -> int:
-    _echo_json(_shallow_dict(f_class_profile(parse_term(t))))
+    from .fprofile import f_class_profile
+
+    _echo_json(_shallow_dict(f_class_profile(normalize(parse_term(t)))))
     return 0
 
 
@@ -219,14 +211,10 @@ def type_fprofile(t) -> int:
 # finite
 
 
-@cli.group()
-def finite() -> None:
-    """Brute-force profiles of finite orders."""
-
-
-@finite.command("profile")
-@click.argument("n", type=int)
+@_command("finite", "profile", _arg("n", type=int))
 def finite_profile_cmd(n: int) -> int:
+    from .finite import FiniteOrder, finite_profile
+
     _echo_json(_shallow_dict(finite_profile(FiniteOrder(n))))
     return 0
 
@@ -235,19 +223,16 @@ def finite_profile_cmd(n: int) -> int:
 # cond
 
 
-@cli.group()
-def cond() -> None:
-    """Condensations."""
-
-
-@cond.command("ey")
-@click.option("--size", type=int, required=True)
-@click.option("--subset", required=True, help="comma-separated positions")
+@_command("cond", "ey", _arg("--size", type=int, required=True),
+          _arg("--subset", required=True, help="comma-separated positions"))
 def cond_ey(size: int, subset: str) -> int:
+    from .condense import e_y_condense
+    from .finite import FiniteOrder
+
     try:
         ys = [int(p) for p in subset.split(",") if p.strip() != ""]
     except ValueError as exc:
-        raise click.UsageError(f"bad subset: {exc}")
+        raise ValueError(f"bad subset: {exc}")
     r = e_y_condense(FiniteOrder(size), ys)
     _echo_json(
         {
@@ -260,11 +245,11 @@ def cond_ey(size: int, subset: str) -> int:
     return 0
 
 
-@cond.command("f")
-@click.option("--term", "term_text", required=True)
-@click.option("--window", type=int, default=None, help="sample size cap")
+@_command("cond", "f", _arg("--term", dest="term_text", required=True),
+          _arg("--window", type=int, help="sample size cap"))
 def cond_f(term_text: str, window: Optional[int]) -> int:
-    from .terms import normalize
+    from .condense import finite_condensation
+    from .points import sample_points
 
     t = normalize(parse_term(term_text))
     pts = sample_points(t)
@@ -288,20 +273,18 @@ def cond_f(term_text: str, window: Optional[int]) -> int:
 
 
 def _load_spec(text: str):
+    from .hierarchy import spec_from_json
+
     if text.lstrip().startswith("{"):
         return spec_from_json(text)
     with open(text, "r", encoding="utf-8") as fh:
         return spec_from_json(fh.read())
 
 
-@cli.group()
-def hier() -> None:
-    """Regular unbounded sums and shuffles."""
-
-
-@hier.command("validate")
-@click.argument("spec")
+@_command("hier", "validate", _arg("spec"))
 def hier_validate(spec: str) -> int:
+    from .hierarchy import validate_sum_spec
+
     v = validate_sum_spec(_load_spec(spec))
     _echo_json({
         "answer": v.answer,
@@ -312,21 +295,23 @@ def hier_validate(spec: str) -> int:
     return 0 if v.decided else 2
 
 
-@hier.command("realize")
-@click.argument("spec")
+@_command("hier", "realize", _arg("spec"))
 def hier_realize(spec: str) -> int:
-    click.echo(print_term(realize(_load_spec(spec))))
+    from .hierarchy import realize
+
+    print(print_term(realize(_load_spec(spec))))
     return 0
 
 
-@hier.command("witness")
-@click.argument("spec")
+@_command("hier", "witness", _arg("spec"))
 def hier_witness(spec: str) -> int:
+    from .hierarchy import no_finite_F_witness
+
     w = no_finite_F_witness(_load_spec(spec))
     if w is None:
-        click.echo("no witness", err=True)
+        print("no witness", file=sys.stderr)
         return 2
-    click.echo(print_term(w))
+    print(print_term(w))
     return 0
 
 
@@ -334,26 +319,29 @@ def hier_witness(spec: str) -> int:
 # game
 
 
-@cli.group()
-def game() -> None:
-    """Flip-conjugation checks for the word game."""
-
-
-@game.command("verify")
-@click.option("--rounds", type=int, default=2, show_default=True)
-@click.option("--max-move", type=int, default=2, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--exhaustive", is_flag=True)
-@click.option("--trials", type=int, default=1000, show_default=True)
+@_command("game", "verify",
+          _arg("--rounds", type=int, default=2, help="default: %(default)s"),
+          _arg("--max-move", type=int, default=2, help="default: %(default)s"),
+          _arg("--seed", type=int),
+          _arg("--exhaustive", action="store_true"),
+          _arg("--trials", type=int, default=1000,
+               help="default: %(default)s"))
 def game_verify(rounds, max_move, seed, exhaustive, trials) -> int:
+    import random
+
+    from .game import (
+        _all_words,
+        exhaustive_verify,
+        random_strategy,
+        verify_flip_identity,
+    )
+
     if exhaustive:
         total, failures = exhaustive_verify(rounds, max_move)
         _echo_json({"mode": "exhaustive", "cases": total,
                     "failures": len(failures)})
         return 0 if not failures else 3
     rng = random.Random(0 if seed is None else seed)
-    from .game import _all_words
-
     words = _all_words(max_move)
     bad = 0
     for _ in range(trials):
@@ -366,7 +354,105 @@ def game_verify(rounds, max_move, seed, exhaustive, trials) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# parsing and dispatch
+#
+# Parsing ends in SystemExit, as argparse's does: code 0 after printing
+# help, 2 after printing a usage error.
+
+
+def _usage_error(prog: str, message: str):
+    print(f"usage: {prog} COMMAND [ARGS]...\n{prog}: error: {message}",
+          file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _word(argv, prog: str, doc: str, helps: dict):
+    """The command word that heads argv, and the words after it.  The
+    words before it are options, up to a '--', and a group's only option
+    is --help."""
+    i = 0
+    while i < len(argv) and argv[i][:1] == "-" and argv[i] not in ("-", "--"):
+        i += 1
+    options, argv = argv[:i], argv[i + (argv[i:i + 1] == ["--"]):]
+    unknown = [w for w in options if w != "--help"]
+    if unknown:
+        _usage_error(prog, f"no such option: {unknown[0]}")
+    if options:
+        width = max(map(len, helps))
+        listing = "\n".join(f"  {k:{width}}  {v}".rstrip()
+                            for k, v in helps.items())
+        print(f"usage: {prog} COMMAND [ARGS]...\n\n{doc}\n\n"
+              f"commands:\n{listing}")
+        raise SystemExit(0)
+    if not argv:
+        _usage_error(prog, "missing command")
+    if argv[0] not in helps:
+        if argv[0][:1] == "-" and argv[0] != "-":
+            # a word after '--' that is no command but looks like an
+            # option is read as the group's options, for --help or an error
+            _word(argv, prog, doc, helps)
+        _usage_error(prog, f"no such command: {argv[0]!r}")
+    return argv[0], argv[1:]
+
+
+def _parse(argv):
+    """(command function, keyword arguments) for argv."""
+    import argparse
+
+    group, argv = _word(argv, "ordtypes", _DOC, _GROUPS)
+    names = {n: "" for g, n in _COMMANDS if g == group}
+    name, argv = _word(argv, f"ordtypes {group}", _GROUPS[group], names)
+    function, arguments = _COMMANDS[group, name]
+    parser = argparse.ArgumentParser(prog=f"ordtypes {group} {name}",
+                                     add_help=False, allow_abbrev=False)
+    # listed in the help; the words below are searched for --help
+    parser.add_argument("--help", action="help",
+                        help="show this message and exit")
+    for flags, keywords in arguments:
+        parser.add_argument(*flags, **keywords)
+    # The words are sorted before argparse reads them, by the rules the
+    # command line has always had: a word that starts with '-' is an
+    # option and must be one of the command's; an option that takes a
+    # value takes the next word, whatever it looks like ("--expect -x",
+    # "--subset -1,2"); an option given twice keeps its last value, and
+    # only that one is converted; '--' makes every later word an
+    # argument; and --help wins once every option is known.
+    takes_value = {flags[0]: "action" not in keywords
+                   for flags, keywords in arguments if flags[0][:1] == "-"}
+    options, positionals, help_asked = {}, [], False
+    words = iter(argv)
+    for w in words:
+        option, eq, value = w.partition("=")
+        if w == "--":
+            positionals += words
+        elif w[:1] != "-" or w == "-":
+            positionals.append(w)
+        elif w == "--help":
+            help_asked = True
+        elif option not in takes_value:
+            parser.error(f"no such option: {option}")
+        elif not takes_value[option]:
+            if eq:
+                parser.error(f"option {option} takes no value")
+            options[option] = None
+        else:
+            if not eq:
+                value = next(words, None)
+                if value is None:
+                    parser.error(f"option {option} needs a value")
+            options[option] = value
+    if help_asked:
+        parser.print_help()
+        raise SystemExit(0)
+    # argparse drops a '--' that it is given as a value, so such a value
+    # passes through it as a word that no argv can hold
+    dashes = "\0--"
+    args = [o if v is None else f"{o}={dashes if v == '--' else v}"
+            for o, v in options.items()]
+    if positionals:
+        args += ["--", *(dashes if p == "--" else p for p in positionals)]
+    parsed = vars(parser.parse_args(args))
+    return function, {k: "--" if v == dashes else v for k, v in parsed.items()}
 
 
 def run(argv) -> Tuple[int, str, str]:
@@ -379,25 +465,22 @@ def run(argv) -> Tuple[int, str, str]:
 
 def _dispatch(argv) -> int:
     try:
-        rv = cli.main(args=argv, prog_name="ordtypes",
-                      standalone_mode=False)
-        return int(rv or 0)
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 1
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
-        return 1
-    except click.exceptions.Abort:
-        return 1
+        function, kwargs = _parse(argv)
+    except SystemExit as exc:
+        return 1 if exc.code else 0
+    try:
+        return function(**kwargs)
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, CapacityError, ValueError) as exc:
+    except (ParseError, CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        # the normalizer and a few term walks recurse once per level of
+        # a term, so a chain of thousands of '*' can exhaust the stack
+        print("error: term nested too deeply to process "
+              "(recursion limit reached)", file=sys.stderr)
         return 1
 
 
