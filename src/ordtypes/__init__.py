@@ -7,7 +7,7 @@ Subpackages:
 - ``finite``    -- brute-force oracle on explicit finite chains
 - ``terms``     -- symbolic term grammar, parser/printer, normalization
 - ``points``    -- computable point-level presentation of terms
-- ``analysis``  -- structural facts (endpoints, cardinality, scatteredness,
+- ``analysis``  -- structural facts (size, countability, scatteredness,
   Hausdorff rank)
 - ``fprofile``  -- finite-condensation class profiles
 - ``engine``    -- three-valued inference engine with replayable certificates

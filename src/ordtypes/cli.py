@@ -203,7 +203,7 @@ def type_square(t, as_json, depth, no_choice, expect) -> int:
 def type_fprofile(t) -> int:
     from .fprofile import f_class_profile
 
-    _echo_json(_shallow_dict(f_class_profile(normalize(parse_term(t)))))
+    _echo_json(_shallow_dict(f_class_profile(parse_term(t))))
     return 0
 
 
@@ -477,8 +477,9 @@ def _dispatch(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # the normalizer and a few term walks recurse once per level of
-        # a term, so a chain of thousands of '*' can exhaust the stack
+        # the class sequences of fprofile and the point layer recurse
+        # once per level of a term, so type fprofile on a chain of
+        # thousands of '*' can exhaust the stack
         print("error: term nested too deeply to process "
               "(recursion limit reached)", file=sys.stderr)
         return 1

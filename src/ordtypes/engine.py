@@ -60,7 +60,6 @@ from .terms import (
     normalize,
     parse_normalized,
     print_term,
-    product_count,
     pure_ordinal,
     rev_ordinal_term,
     reverse_term,
@@ -193,21 +192,13 @@ def _npow(base: Term, n: int) -> Term:
     """base^n in normal form.  The powers (1, base, base^2, ...) are kept
     on the base node (``_powers``); each new one is one step of the
     normalizer on the one before, a CNF product for an ordinal or
-    reversed-ordinal base.  Its point count, the one before times the
-    base's, and its facts are derived as it is made, each one step from
-    the data of the one before, so neither walks down a chain of powers.
-    The tuple is replaced, never changed, so a thread that races to
-    extend it builds the same interned nodes."""
+    reversed-ordinal base.  The tuple is replaced, never changed, so a
+    thread that races to extend it builds the same interned nodes."""
     if n > MAX_POWER:
         raise CapacityError(f"power {n} exceeds cap {MAX_POWER}")
     powers = base._powers or (ONE_T,)
     while len(powers) <= n:
-        power = normalize(Prod(powers[-1], base))
-        if power._count is None:
-            set_derived(power, "_count",
-                        product_count(total_count(powers[-1]), total_count(base)))
-        facts(power)
-        powers = (*powers, power)
+        powers = (*powers, normalize(Prod(powers[-1], base)))
         set_derived(base, "_powers", powers)
     return powers[n]
 
@@ -1576,14 +1567,17 @@ def replay_certificate(node: dict) -> bool:
     ``total_count`` and CNF ordinal arithmetic; it uses nothing of the
     point layer (``points``).  Terms are interned, so it trusts the
     intern table to give equal terms one node, and it trusts the data
-    kept on a node as computed once: its normal form and reverse, its
+    kept on a node as computed once, by one step on its children's kept
+    data (``terms.children_first``): its normal form and reverse, its
     point count, its printed text, which a node's ``s`` and ``t`` are
     compared by, its facts (the ordinal invariants R-STRUCT compares
     among them, and the bounds R-ORD and R-CO-ORD read), its
     reversed-ordinal value, its pieces and cuts (deep and shallow), and
     the powers of a geometric base, each one normalizer step from the
-    one before (``_npow``), which the search may have computed before the
-    replay.  It trusts each rule as the search runs it, and nothing
+    one before (``_npow``), which the search, or an earlier engine for a
+    base that outlives it, may have computed before the replay.  A term
+    that would expand past ``terms.MAX_COPIES`` copies makes the node
+    False.  It trusts each rule as the search runs it, and nothing
     else: each side-condition rule's ``decide`` and each recursive
     rule's search in ``RULES``, each classification step of
     ``CLASSIFIERS``, the EQ and GARRETT steps, and the rows of

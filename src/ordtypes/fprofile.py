@@ -3,7 +3,7 @@
 Condensing a linear order by "finitely many points between" partitions
 it into convex classes in which every closed interval is finite; each
 class is therefore finite or shaped like omega, omega* or zeta.  This
-module computes, for a normalized term, the census of those classes --
+module computes, for a term's normal form, the census of those classes --
 how many are finite and what the infinite ones look like -- by a
 calculus on small "class sequence" summaries:
 
@@ -43,6 +43,8 @@ from .terms import (
     Sum,
     Term,
     Zeta,
+    normalize,
+    reverse_term,
 )
 
 # class descriptors
@@ -359,8 +361,6 @@ def _cs(t: Term) -> Optional[ClassSeq]:
     if isinstance(t, GeomOmega):
         return _geom_cs(t.base, t.start)
     if isinstance(t, GeomOmegaStar):
-        from .terms import reverse_term
-
         rev = _geom_cs(reverse_term(t.base), t.start)
         return None if rev is None else cs_reverse(rev)
     if isinstance(t, SeqSumStar):
@@ -390,11 +390,13 @@ class FProfile:
 
 
 def class_sequence(t: Term) -> Optional[ClassSeq]:
-    return _cs(t)
+    """The class sequence of t's normal form."""
+    return _cs(normalize(t))
 
 
 def f_class_profile(t: Term) -> FProfile:
-    c = _cs(t)
+    """The finite-condensation class profile of t's normal form."""
+    c = class_sequence(t)
     if c is None:
         return FProfile("unknown", None, (), None, None)
     nfin = 0

@@ -36,9 +36,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .engine import NO, UNKNOWN, YES, Engine, Verdict
-from .finite import CapacityError
 from .fprofile import f_class_profile
-from .points import total_count
+from .ordinals import CapacityError
 from .terms import (
     ETA,
     OMEGA_STAR,
@@ -54,6 +53,7 @@ from .terms import (
     normalize,
     parse_term,
     print_term,
+    total_count,
 )
 
 log = logging.getLogger(__name__)

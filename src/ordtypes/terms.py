@@ -37,13 +37,7 @@ from dataclasses import dataclass, fields
 from math import inf
 from typing import Optional, Tuple
 
-from .ordinals import (
-    OMEGA,
-    ONE,
-    ZERO,
-    Ordinal,
-    fundamental_sequence,
-)
+from .ordinals import OMEGA, ONE, ZERO, CapacityError, Ordinal
 
 
 # The slots of a node that hold its derived data, None until computed.
@@ -348,19 +342,20 @@ class MalformedPoint(ValueError):
 
 def total_count(t: Term):
     """Number of points of t (int or inf).  Kept on the node
-    (``_count``)."""
+    (``_count``), derived children first (``children_first``)."""
     c = t._count
     if c is None:
-        c = _point_count(t)
-        set_derived(t, "_count", c)
+        children_first(t, _children, _counted, _count_step)
+        c = t._count
     return c
 
 
-def product_count(a, b):
-    """The point count of a product whose factors have a and b points."""
-    if a == 0 or b == 0:
-        return 0
-    return inf if a == inf or b == inf else a * b
+def _counted(t: Term) -> bool:
+    return t._count is not None
+
+
+def _count_step(t: Term) -> None:
+    set_derived(t, "_count", _point_count(t))
 
 
 def _point_count(t: Term):
@@ -378,7 +373,10 @@ def _point_count(t: Term):
             total += c
         return total
     if isinstance(t, Prod):
-        return product_count(total_count(t.inner), total_count(t.index))
+        a, b = total_count(t.inner), total_count(t.index)
+        if a == 0 or b == 0:
+            return 0
+        return inf if a == inf or b == inf else a * b
     # normalized geometric / sequence nodes always have infinitely many
     # nonempty blocks
     if isinstance(t, (GeomOmega, GeomOmegaStar, SeqSumStar, SeqSumRev)):
@@ -388,6 +386,18 @@ def _point_count(t: Term):
 
 # ---------------------------------------------------------------------------
 # normalization
+
+
+#: The most copies of one part that normalizing a term writes out: the
+#: copies of a finite multiple ``a*n``, or the reversed powers of a CNF
+#: coefficient.  A term that asks for more raises ``CapacityError``.
+MAX_COPIES = 10_000
+
+
+def _copies(n: int) -> int:
+    if n > MAX_COPIES:
+        raise CapacityError(f"more than {MAX_COPIES} copies of one part")
+    return n
 
 
 def rev_ordinal_term(a: Ordinal) -> Term:
@@ -400,7 +410,7 @@ def rev_ordinal_term(a: Ordinal) -> Term:
         parts.append(OrdLeaf(Ordinal.from_int(m)))
     for exp, coeff in reversed(a.limit_part.terms):
         power = Ordinal(((exp, 1),))
-        parts.extend([RevOrd(power)] * coeff)
+        parts.extend([RevOrd(power)] * _copies(coeff))
     if len(parts) == 1:
         return parts[0]
     return Sum(tuple(parts))
@@ -480,9 +490,18 @@ def _norm_prod(inner: Term, index: Term) -> Term:
     # right distributivity: a(b+c) = ab + ac, an exact isomorphism
     if isinstance(index, Sum):
         return _norm_sum([_norm_prod(inner, p) for p in index.parts])
-    # associativity: a(bc) = (ab)c; left-nest products
+    # associativity: a(bc) = (ab)c; left-nest products, folding a chain
+    # of index factors one by one, so a long chain takes no stack frame
+    # per factor
     if isinstance(index, Prod):
-        return _norm_prod(_norm_prod(inner, index.inner), index.index)
+        factors = []
+        while isinstance(index, Prod):
+            factors.append(index.index)
+            index = index.inner
+        out = _norm_prod(inner, index)
+        for factor in reversed(factors):
+            out = _norm_prod(out, factor)
+        return out
     # merge adjacent pure-ordinal indices: (a b1) b2 = a (b1 b2)
     if (
         isinstance(inner, Prod)
@@ -507,8 +526,7 @@ def _norm_prod(inner: Term, index: Term) -> Term:
         return rev_ordinal_term(ci * cx)
     # finite index: expand into an explicit sum of copies
     if isinstance(index, OrdLeaf) and index.value.is_finite():
-        n = index.value.as_int()
-        return _norm_sum([inner] * n)
+        return _norm_sum([inner] * _copies(index.value.as_int()))
     # decomposable ordinal index: distribute over its CNF summands
     if isinstance(index, OrdLeaf):
         b = index.value
@@ -516,7 +534,7 @@ def _norm_prod(inner: Term, index: Term) -> Term:
             parts = []
             for exp, coeff in b.terms:
                 block = Ordinal(((exp, 1),))
-                parts.extend([_norm_prod(inner, OrdLeaf(block))] * coeff)
+                parts.extend([_norm_prod(inner, OrdLeaf(block))] * _copies(coeff))
             return _norm_sum(parts)
     return Prod(inner, index)
 
@@ -568,10 +586,10 @@ def _norm_seqsum(a: Ordinal, reverse: bool) -> Term:
 
 def _reverse_normal(t: Term, revs=None) -> Term:
     """Reverse of an already-normalized term, renormalized.  revs are
-    the reverses of ``_reversed_children(t)``, in that order; they are
-    made here when not given."""
+    the reverses of ``_children(t)``, in that order; they are made here
+    when not given."""
     if revs is None:
-        revs = [_reverse(c) for c in _reversed_children(t)]
+        revs = [_reverse(c) for c in _children(t)]
     if isinstance(t, OrdLeaf):
         return rev_ordinal_term(t.value)
     if isinstance(t, RevOrd):
@@ -594,14 +612,9 @@ def _reverse_normal(t: Term, revs=None) -> Term:
 
 
 def _normalize(t: Term) -> Term:
-    """One step of the normalizer, on the normal forms of t's parts.  A
-    chain of reversals, such as ``((x~)~)~`` parses to, is one step."""
+    """One step of the normalizer, on the normal forms of t's parts."""
     if isinstance(t, Rev):
-        flips = 0
-        while isinstance(t, Rev):
-            t, flips = t.arg, flips + 1
-        n = normalize(t)
-        return _reverse(n) if flips % 2 else n
+        return _reverse(normalize(t.arg))
     if isinstance(t, Sum):
         return _norm_sum([normalize(p) for p in t.parts])
     if isinstance(t, Prod):
@@ -619,16 +632,27 @@ def _normalize(t: Term) -> Term:
 
 def normalize(t: Term) -> Term:
     """Canonical normal form; idempotent.  Kept on the node (``_nf``),
-    and a normal form is marked as its own (``_nf`` is True)."""
+    and a normal form is marked as its own (``_nf`` is True).  The nodes
+    below t not normalized yet are normalized first (``children_first``),
+    so a chain of products or reversals takes no stack frame per link."""
     n = t._nf
     if n is None:
-        n = _normalize(t)
-        if n._nf is None:
-            set_derived(n, "_nf", True)
-        if n is not t:
-            set_derived(t, "_nf", n)
-        return n
+        children_first(t, _children, _normalized, _normalize_step)
+        n = t._nf
     return t if n is True else n
+
+
+def _normalized(t: Term) -> bool:
+    return t._nf is not None
+
+
+def _normalize_step(t: Term) -> None:
+    """Normalize t from its children's kept normal forms, and keep it."""
+    n = _normalize(t)
+    if n._nf is None:
+        set_derived(n, "_nf", True)
+    if n is not t:
+        set_derived(t, "_nf", n)
 
 
 def reverse_term(t: Term) -> Term:
@@ -646,14 +670,14 @@ def _reverse(n: Term) -> Term:
     power."""
     r = _kept_reverse(n)
     if r is None:
-        children_first(n, _reversed_children, _kept_reverse, _reverse_step)
+        children_first(n, _children, _kept_reverse, _reverse_step)
         r = _kept_reverse(n)
     return r
 
 
 def _reverse_step(m: Term) -> None:
     """Reverse m from its children's kept reverses, and keep it."""
-    r = _reverse_normal(m, [_kept_reverse(c) for c in _reversed_children(m)])
+    r = _reverse_normal(m, [_kept_reverse(c) for c in _children(m)])
     if r._nf is None:
         set_derived(r, "_nf", True)
     set_derived(m, "_rev", weakref.ref(m) if r is m else r)
@@ -662,22 +686,31 @@ def _reverse_step(m: Term) -> None:
 
 
 def children_first(top, children, done, step) -> None:
-    """Run step on top and on each node below it that is not done yet,
-    each node after its children, on an explicit stack, so a deep chain
-    takes no stack frame per level.  children(n) lists the nodes that
-    step(n) reads; done(n) is truthy once step(n) has run."""
-    todo = [top]
-    while todo:
-        m = todo[-1]
-        if done(m):
-            todo.pop()
-            continue
-        waiting = [c for c in children(m) if not done(c)]
-        if waiting:
-            todo += waiting
-            continue
-        todo.pop()
-        step(m)
+    """Run step on top, which is not done yet, and on each node below it
+    that is not done yet, each node after its children, on an explicit
+    stack, so a deep chain takes no stack frame per level.  children(n)
+    lists the nodes that step(n) reads; done(n) is truthy once step(n)
+    has run.  The stack holds the nodes on the path down from top, each
+    with an iterator over its children, as a recursion would."""
+    below = iter(children(top))
+    for c in below:
+        if not done(c):
+            break
+    else:  # the usual case: every child is done, so top is one step
+        step(top)
+        return
+    nodes, kids = [top, c], [below, iter(children(c))]
+    while nodes:
+        for c in kids[-1]:
+            if not done(c):
+                nodes.append(c)
+                kids.append(iter(children(c)))
+                break
+        else:  # every child of the last node is done
+            kids.pop()
+            m = nodes.pop()
+            if not done(m):
+                step(m)
 
 
 def _kept_reverse(n: Term) -> Optional[Term]:
@@ -685,13 +718,19 @@ def _kept_reverse(n: Term) -> Optional[Term]:
     return r() if r.__class__ is weakref.ref else r
 
 
-def _reversed_children(t: Term) -> Tuple[Term, ...]:
-    """The children whose reverses ``_reverse_normal`` reads."""
-    if isinstance(t, Sum):
+def _children(t: Term) -> Tuple[Term, ...]:
+    """The children whose kept data one step of a derivation on t reads:
+    its normal form, reverse, point count, facts or printed text.  It
+    runs on every miss of each, so it tests the class by identity (no
+    node class has subclasses)."""
+    kind = t.__class__
+    if kind is Sum:
         return t.parts
-    if isinstance(t, Prod):
+    if kind is Prod:
         return t.inner, t.index
-    if isinstance(t, (GeomOmega, GeomOmegaStar)):
+    if kind is Rev:
+        return (t.arg,)
+    if kind is GeomOmega or kind is GeomOmegaStar:
         return (t.base,)
     return ()
 
@@ -711,7 +750,7 @@ def print_term(t: Term, level: int = 0) -> str:
     so a chain of powers prints without brackets."""
     s = t._text
     if s is None:
-        children_first(t, _printed_children, _printed, _print_step)
+        children_first(t, _children, _printed, _print_step)
         s = t._text
     if level and (
         isinstance(t, Sum)
@@ -724,11 +763,6 @@ def print_term(t: Term, level: int = 0) -> str:
 
 def _printed(t: Term) -> bool:
     return t._text is not None
-
-
-def _printed_children(t: Term) -> Tuple[Term, ...]:
-    """The children whose texts ``_print_step`` reads."""
-    return (t.arg,) if isinstance(t, Rev) else _reversed_children(t)
 
 
 def _print_step(t: Term) -> None:

@@ -261,9 +261,9 @@ def test_long_runs_of_reversals_end():
 
 def test_geometric_sums_from_a_high_power_answer():
     # the pieces of these sums start at w^500, w^500~ and the 500-deep
-    # Prod chain z^500, each power one step from the one before, its
-    # count and facts too; a sum's end points are read off its base's
-    # facts, so none of these overflows the stack
+    # Prod chain z^500, each power one normalizer step from the one
+    # before, and the count and facts of a power derive on an explicit
+    # stack, so none of these overflows the stack
     for t in ("geomrev(w, 500)", "geom(w~, 500)", "geom(z, 500)",
               "geomrev(z+1, 300)", "geomrev(w, 1020)"):
         code, out, err = run(["type", "embeds", "w", t])
@@ -326,16 +326,45 @@ def test_importing_the_cli_loads_only_the_engine_stack():
     }
 
 
-def test_terms_too_deep_for_the_stack_exit_1():
-    # normalize recurses once per factor of a chain of products, so
-    # thousands of them exhaust the stack; the call still ends in a
-    # documented exit code with a stated reason
+def test_importing_hierarchy_loads_neither_points_nor_finite():
+    # hierarchy takes CapacityError and total_count from the modules
+    # that define them
+    code = ("import json, sys, ordtypes.hierarchy; "
+            "print(json.dumps(sorted(sys.modules)))")
+    loaded = set(json.loads(_fresh_python(code)))
+    assert not loaded & {"ordtypes.points", "ordtypes.finite"}
+
+
+def test_long_chains_of_products_answer():
+    # a term's normal form and kept data are derived children first on
+    # an explicit stack, so a chain of thousands of products takes no
+    # stack frame per factor
     for argv in (["type", "classify", "w" + "*w" * 3000],
-                 ["type", "classify", "w" + "*2" * 3000],
-                 ["ord", "cnf", "w" + "*w" * 3000]):
+                 ["type", "classify", "w" + "*2" * 3000]):
+        code, out, err = run(argv)
+        assert (code, err) == (0, ""), argv[:2]
+        assert json.loads(out)["indecomposable"] in ("YES", "NO")
+    assert run(["ord", "cnf", "w" + "*w" * 3000])[:2] == (0, "w^(3001)\n")
+    # the class sequences of fprofile still recurse once per factor
+    code, out, err = run(["type", "fprofile", "z" + "*z" * 3000])
+    assert (code, out) == (1, "") and "nested too deeply" in err
+
+
+def test_expansions_past_the_copy_cap_exit_1():
+    # a finite multiple a*n, or a CNF coefficient of a reversed ordinal,
+    # is written out one copy per unit; past terms.MAX_COPIES copies the
+    # call ends in a CapacityError (exit 1) before any is made, and
+    # replay of a node that names such a term is False
+    big = "(w" + "*2" * 3000 + ")"  # w*2^3000
+    for argv in (["type", "classify", big + "~"],
+                 ["type", "classify", "z*" + big],
+                 ["type", "embeds", "1", "z*100000000"]):
         code, out, err = run(argv)
         assert (code, out) == (1, ""), argv[:2]
-        assert "nested too deeply" in err
+        assert "copies" in err, argv[:2]
+    node = {"answer": "YES", "rule": "R-REFL", "s": big + "~",
+            "t": big + "~", "instantiation": {}, "premises": [], "axioms": []}
+    assert replay_certificate(node) is False
 
 
 def test_type_fprofile_reads_the_normal_form():
@@ -422,11 +451,12 @@ def test_readme_examples(tmp_path, monkeypatch):
 # larger terms on their own, so that each case is fast.  The engine has
 # no per-query budget yet (ROADMAP item 1), so larger terms reach inputs
 # that are still unbounded in time: type classify 'r+r*q+q' takes 15 s,
-# type square 'z*2*2*2*2' 3.6 s, and 'z*2*2*2*2*2' runs past 20 s.  Nor does the cap reach the open inputs of ROADMAP items 5 and 6:
-# a large finite multiple such as z*100000000, which expands into that
-# many parts, and chains of thousands of products, which exhaust the
-# recursive normalizer's stack.  Numbers stay at most 2, since game
-# verify --exhaustive grows exponentially in --rounds and --max-move.
+# type square 'z*2*2*2*2' 3.6 s, and 'z*2*2*2*2*2' runs past 20 s.  Long
+# inputs are tested on their own: a finite multiple past
+# terms.MAX_COPIES, such as z*100000000, ends in a CapacityError, and a
+# chain of thousands of products answers, as the normalizer runs on an
+# explicit stack.  Numbers stay at most 2, since game verify
+# --exhaustive grows exponentially in --rounds and --max-move.
 _TERMS = st.one_of(
     st.sampled_from(["r", "geomrev(w)", "geomrev(z, 1)"]),
     st.recursive(

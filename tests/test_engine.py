@@ -714,6 +714,44 @@ print(json.dumps(engine.search_stats()))
     assert stats["goals"] < 5000, stats
 
 
+def test_chains_thousands_deep_answer_and_replay():
+    # the kept data of a term is derived children first on an explicit
+    # stack, and the normalizer folds a chain of index factors one by
+    # one, so none of these takes a stack frame per link: z^3001 as
+    # z*z*...*z and as z*(z*...*z), (z+1)*z^3000, and 3,000 reversals of z
+    rows = _in_fresh_interpreter("""
+import json
+from ordtypes.analysis import facts
+from ordtypes.engine import PROFILE_FIELDS, Engine, replay_certificate
+from ordtypes.terms import (ONE_T, ZETA, Prod, Rev, Sum, normalize,
+                            print_term, total_count)
+def chain(t, n):
+    for _ in range(n):
+        t = Prod(t, ZETA)
+    return t
+rev = ZETA
+for _ in range(3000):
+    rev = Rev(rev)
+rows = []
+for t in (chain(ZETA, 3000), Prod(ZETA, chain(ZETA, 2999)),
+          chain(Sum((ZETA, ONE_T)), 3000), rev):
+    n = normalize(t)
+    engine = Engine()
+    profile = engine.classify_type(n)
+    verdicts = [engine.embeds(n, n),
+                *(getattr(profile, f) for f in PROFILE_FIELDS)]
+    rows.append([print_term(n)[:9], len(print_term(n)), str(total_count(n)),
+                 facts(n).scattered, verdicts[0].answer,
+                 all(replay_certificate(v.certificate)
+                     for v in verdicts if v.decided)])
+print(json.dumps(rows))
+""")
+    assert rows == [["z*z*z*z*z", 6001, "inf", True, YES, True],
+                    ["z*z*z*z*z", 6001, "inf", True, YES, True],
+                    ["(z + 1)*z", 6007, "inf", True, YES, True],
+                    ["z", 1, "inf", True, YES, True]]
+
+
 def test_replay_of_cuts_past_the_power_cap_is_false():
     # the cuts of geom(z, 1024) name z^1025, past MAX_POWER
     assert _in_fresh_interpreter("""

@@ -1,9 +1,16 @@
 import random
 
 from ordtypes.condense import finite_condensation
-from ordtypes.fprofile import f_class_profile
+from ordtypes.fprofile import class_sequence, f_class_profile
 from ordtypes.points import sample_points
-from ordtypes.terms import ZETA, Prod, normalize, parse_normalized, print_term
+from ordtypes.terms import (
+    ZETA,
+    Prod,
+    normalize,
+    parse_normalized,
+    parse_term,
+    print_term,
+)
 
 from helpers import rand_scattered_term
 
@@ -36,6 +43,17 @@ def test_frozen_profiles():
     for text, (status, count) in FROZEN.items():
         p = f_class_profile(T(text))
         assert (p.status, p.finite_class_count) == (status, count), text
+
+
+def test_raw_and_normalized_parses_give_one_profile():
+    # both read the normal form: a raw w~ is a reversal, and raw geom(0)
+    # (the sum 0^0 + 0 + ... = 1) and geomrev(1, 1) (omega*) are no
+    # geometric sums of their own
+    for text in ("w~", "geom(0)", "geomrev(1, 1)"):
+        raw, nf = parse_term(text), parse_normalized(text)
+        assert raw is not nf, text
+        assert f_class_profile(raw) == f_class_profile(nf), text
+        assert class_sequence(raw) == class_sequence(nf), text
 
 
 def test_census_frozen():

@@ -22,7 +22,7 @@ import ordtypes
 from ordtypes import analysis, engine, terms
 from ordtypes.engine import Engine
 from ordtypes.ordinals import OMEGA, CapacityError, Ordinal
-from ordtypes.points import first_point, last_point, power_term
+from ordtypes.points import power_term
 from ordtypes.terms import (
     Eta, GeomOmega, GeomOmegaStar, Lambda, OrdLeaf, Prod, Rev, RevOrd,
     SeqSumRev, SeqSumStar, Sum, Zeta, normalize, parse_normalized, parse_term,
@@ -331,17 +331,14 @@ def _co_ordinal(t):
 
 
 def _facts(t, ranks, bounds):
-    """The facts of t, the end points by the point layer; ``ranks`` and
-    ``bounds`` memoize the ranks and the bounds by node."""
+    """The facts of t; ``ranks`` and ``bounds`` memoize the ranks and
+    the bounds by node."""
     n = _count(t)
     scattered = _free_of(t, (Eta, Lambda))
     return analysis.Facts(
-        nonempty=n != 0,
         size=None if n == inf else n,
         countable=_free_of(t, Lambda),
         scattered=_free_of(t, (Eta, Lambda)),
-        left_end=first_point(t) is not None,
-        right_end=last_point(t) is not None,
         well_ordered=_wo(t),
         rev_well_ordered=_rwo(t),
         final_segments_wo=_fsw(t),
@@ -626,7 +623,7 @@ def test_the_engine_does_not_import_the_point_layer():
 
 
 def test_the_facts_do_not_import_the_point_layer():
-    # every fact, the end points included, is one step from the facts of
-    # the children, with no point of the term built
+    # every fact is one step from the facts of the children, with no
+    # point of the term built
     imported = _imported(analysis)
     assert not imported & {"points", "ordtypes.points"}, imported
